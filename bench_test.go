@@ -90,6 +90,13 @@ func BenchmarkAblationTrainingSize(b *testing.B)   { benchExperiment(b, "ablatio
 
 // benchEpoch prepares one realistic mid-walk epoch.
 func benchEpoch(b *testing.B, opts ...core.Option) (*core.Framework, []*sensing.Snapshot) {
+	campus := getSuite(b).Lab.Campus()
+	return benchEpochOver(b, campus.WiFiDB, campus.CellDB, opts...)
+}
+
+// benchEpochOver is benchEpoch with the fingerprinting schemes reading
+// the given radio maps.
+func benchEpochOver(b *testing.B, wifi, cell fingerprint.Map, opts ...core.Option) (*core.Framework, []*sensing.Snapshot) {
 	b.Helper()
 	s := getSuite(b)
 	tr, err := s.Lab.Trained()
@@ -97,7 +104,7 @@ func benchEpoch(b *testing.B, opts ...core.Option) (*core.Framework, []*sensing.
 		b.Fatal(err)
 	}
 	campus := s.Lab.Campus()
-	ss := campus.Schemes(rand.New(rand.NewSource(9)))
+	ss := campus.SchemesOver(wifi, cell, rand.New(rand.NewSource(9)))
 	fw, err := core.NewFramework(ss, tr.Models, opts...)
 	if err != nil {
 		b.Fatal(err)
@@ -122,6 +129,27 @@ func benchEpoch(b *testing.B, opts ...core.Option) (*core.Framework, []*sensing.
 // what tracing costs, and against the PR-1 baseline (2485024 ns/op,
 // 30 allocs/op) to confirm the untraced hot path did not regress.
 func BenchmarkFrameworkStep(b *testing.B) { benchFrameworkStep(b) }
+
+// BenchmarkFrameworkStepSharedMap is BenchmarkFrameworkStep over shared
+// mapstore stores, the way every server session reads the radio maps:
+// the fingerprinting trackers walk the snapshot's HMM transition
+// kernel instead of the private database's full O(N²) scan, which the
+// serving path never takes.
+func BenchmarkFrameworkStepSharedMap(b *testing.B) {
+	campus := getSuite(b).Lab.Campus()
+	wifi := mapstore.New(campus.WiFiDB, mapstore.Config{Name: "wifi"})
+	defer wifi.Close()
+	cell := mapstore.New(campus.CellDB, mapstore.Config{Name: "cellular"})
+	defer cell.Close()
+	fw, snaps := benchEpochOver(b, wifi, cell)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fw.Step(snaps[i%len(snaps)])
+	}
+	b.StopTimer()
+	fw.Close()
+}
 
 // BenchmarkFrameworkStepParallel is the same epoch stream with the five
 // schemes fanned out to the persistent worker pool (DESIGN.md §11).

@@ -329,12 +329,19 @@ func TestClusterNodeKillMidWalk(t *testing.T) {
 	errs := make([]error, walkers)
 	moved := make([]bool, walkers) // walker's home was the victim
 	var killOnce sync.Once
+	// hellos is the kill's barrier: Hello has no retry, so a walker
+	// still handshaking with the victim when it dies fails outright
+	// instead of exercising the reconnect path under test.
+	var hellos sync.WaitGroup
+	hellos.Add(walkers)
 	for i := range walks {
 		home, _ := router.Ring().Pick(walks[i].id)
 		moved[i] = home == victimAddr
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			helloDone := sync.OnceFunc(hellos.Done)
+			defer helloDone() // walkers that fail before their Hello
 			dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
 			conn, err := dial()
 			if err != nil {
@@ -347,14 +354,19 @@ func TestClusterNodeKillMidWalk(t *testing.T) {
 				Min: 5 * time.Millisecond, Max: 200 * time.Millisecond, Attempts: 30, Seed: int64(i),
 			})
 			defer func() { _ = client.Close() }()
-			if err := client.Hello(walks[i].start); err != nil {
+			err = client.Hello(walks[i].start)
+			helloDone()
+			if err != nil {
 				errs[i] = err
 				return
 			}
 			var got []*offload.Result
 			for j, snap := range walks[i].snaps {
 				if j == killAt {
-					killOnce.Do(func() { victim.kill() })
+					killOnce.Do(func() {
+						hellos.Wait()
+						victim.kill()
+					})
 				}
 				res, err := client.Localize(snap)
 				if err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/mapstore"
 	"repro/internal/offload"
 	"repro/internal/rf"
+	"repro/internal/statecodec"
 	"repro/internal/telemetry"
 )
 
@@ -729,5 +731,23 @@ func TestClusterChaosFailover(t *testing.T) {
 	}
 	if ls, fs := store1.Snapshot(), store2.Snapshot(); ls.Len() != fs.Len() {
 		t.Fatalf("survivor snapshots diverged: %d vs %d points", ls.Len(), fs.Len())
+	}
+}
+
+// TestHandoffPutEncoding pins the handoff push frame: the exact-size
+// encoder writes what the grow-as-you-go encoding wrote, and decodes
+// back to its fields.
+func TestHandoffPutEncoding(t *testing.T) {
+	state := bytes.Repeat([]byte{7, 1, 9}, 5000)
+	got := encodeHandoffPut("phone-3", 41, state)
+	want := statecodec.AppendU32(nil, 41)
+	want = statecodec.AppendString(want, "phone-3")
+	want = statecodec.AppendBytes(want, state)
+	if !bytes.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("put frame differs from the reference (%d vs %d bytes, cap %d)", len(got), len(want), cap(got))
+	}
+	id, seq, st, err := decodeHandoffPut(got)
+	if err != nil || id != "phone-3" || seq != 41 || !bytes.Equal(st, state) {
+		t.Fatalf("round trip: %q %d %d bytes, %v", id, seq, len(st), err)
 	}
 }

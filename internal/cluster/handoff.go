@@ -22,9 +22,11 @@ const (
 	hoMiss  byte = 13 // peer → node: fetch reply, no state held
 )
 
-// encodeHandoffPut packs a push: [u32 seq][client][state].
+// encodeHandoffPut packs a push: [u32 seq][client][state], in one
+// buffer of exactly that size.
 func encodeHandoffPut(clientID string, seq uint32, state []byte) []byte {
-	dst := statecodec.AppendU32(nil, seq)
+	dst := make([]byte, 0, 4+4+len(clientID)+4+len(state))
+	dst = statecodec.AppendU32(dst, seq)
 	dst = statecodec.AppendString(dst, clientID)
 	return statecodec.AppendBytes(dst, state)
 }

@@ -26,8 +26,15 @@ const snapshotVersion byte = 1
 // Must be called from the goroutine driving Step (it reads the same
 // state Step mutates); the offload layer calls it at epoch
 // boundaries.
-func (f *Framework) Snapshot() ([]byte, error) {
-	dst := []byte{snapshotVersion}
+func (f *Framework) Snapshot() ([]byte, error) { return f.AppendSnapshot(nil) }
+
+// AppendSnapshot appends the Snapshot encoding to dst and returns the
+// extended slice. Every scheme appends its state blob in place behind
+// a back-patched length, so a caller that presizes dst (the session
+// export does, from the previous export's size) builds the whole
+// state in one buffer.
+func (f *Framework) AppendSnapshot(dst []byte) ([]byte, error) {
+	dst = append(dst, snapshotVersion)
 	dst = statecodec.AppendU8(dst, byte(f.lastEnv))
 	dst = statecodec.AppendF64(dst, f.lastGood.X)
 	dst = statecodec.AppendF64(dst, f.lastGood.Y)
@@ -56,16 +63,17 @@ func (f *Framework) Snapshot() ([]byte, error) {
 	dst = statecodec.AppendU32(dst, uint32(len(f.schemes)))
 	for _, s := range f.schemes {
 		dst = statecodec.AppendString(dst, s.Name())
+		var at int
+		dst, at = statecodec.OpenBytes(dst)
+		// Schemes without a codec are stateless by contract (e.g.
+		// GPS): their blob stays empty.
 		if sc, ok := s.(schemes.StateCodec); ok {
-			blob, err := sc.AppendState(nil)
-			if err != nil {
+			var err error
+			if dst, err = sc.AppendState(dst); err != nil {
 				return nil, fmt.Errorf("core: snapshot scheme %s: %w", s.Name(), err)
 			}
-			dst = statecodec.AppendBytes(dst, blob)
-		} else {
-			// Stateless by contract (e.g. GPS): empty blob.
-			dst = statecodec.AppendBytes(dst, nil)
 		}
+		dst = statecodec.CloseBytes(dst, at)
 	}
 	return dst, nil
 }

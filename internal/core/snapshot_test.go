@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/rf"
 	"repro/internal/schemes"
 	"repro/internal/sensing"
+	"repro/internal/statecodec"
 	"repro/internal/world"
 )
 
@@ -203,5 +206,73 @@ func TestRestoreRejectsMismatchedSchemes(t *testing.T) {
 	}
 	if err := other.Restore(blob); err == nil {
 		t.Fatal("restore of mismatched scheme list must fail")
+	}
+}
+
+// snapshotRef is Framework.Snapshot as it was before schemes appended
+// their state in place: each scheme blob built in a buffer of its own
+// and copied in behind its length. The golden test below holds the
+// in-place encoder to its bytes.
+func snapshotRef(f *Framework) ([]byte, error) {
+	dst := []byte{snapshotVersion}
+	dst = statecodec.AppendU8(dst, byte(f.lastEnv))
+	dst = statecodec.AppendF64(dst, f.lastGood.X)
+	dst = statecodec.AppendF64(dst, f.lastGood.Y)
+	dst = statecodec.AppendBool(dst, f.hasLastGood)
+	m := f.iod.Export()
+	dst = statecodec.AppendU8(dst, byte(m.State))
+	dst = statecodec.AppendU8(dst, byte(m.PendingState))
+	dst = statecodec.AppendU32(dst, uint32(m.PendingVotes))
+	dst = statecodec.AppendF64(dst, m.CellBaseline)
+	dst = statecodec.AppendBool(dst, m.HaveBaseline)
+	names := make([]string, 0, len(f.lastPred))
+	for n := range f.lastPred {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	dst = statecodec.AppendU32(dst, uint32(len(names)))
+	for _, n := range names {
+		dst = statecodec.AppendString(dst, n)
+		dst = statecodec.AppendF64(dst, f.lastPred[n])
+	}
+	dst = statecodec.AppendU32(dst, uint32(len(f.schemes)))
+	for _, s := range f.schemes {
+		dst = statecodec.AppendString(dst, s.Name())
+		var blob []byte
+		if sc, ok := s.(schemes.StateCodec); ok {
+			var err error
+			if blob, err = sc.AppendState(nil); err != nil {
+				return nil, err
+			}
+		}
+		dst = statecodec.AppendBytes(dst, blob)
+	}
+	return dst, nil
+}
+
+// TestSnapshotMatchesReferenceEncoder pins the in-place encoder to the
+// reference bytes every epoch of a walk, appended after a prefix too.
+func TestSnapshotMatchesReferenceEncoder(t *testing.T) {
+	factory, w := snapshotWorld(t)
+	start, snaps := snapshotWalk(w, 20)
+	fw, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Reset(start)
+	prefix := []byte("prefix")
+	for i, snap := range snaps {
+		fw.Step(snap)
+		want, err := snapshotRef(fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fw.AppendSnapshot(append([]byte(nil), prefix...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("epoch %d: AppendSnapshot differs from the reference encoding", i)
+		}
 	}
 }

@@ -67,14 +67,6 @@ type Map interface {
 	View() Reader
 }
 
-// NeighborLister is an optional Reader extension: maps that carry a
-// spatial index can hand out precomputed physical-neighbour lists
-// (ascending point indices within maxDistM of each point, inclusive),
-// which the HMM tracker uses to skip its O(N²) transition scan.
-type NeighborLister interface {
-	NeighborLists(maxDistM float64) [][]int32
-}
-
 // DistanceAppender is an optional Reader extension: maps that can fill
 // a caller-owned buffer with the per-fingerprint RSSI distances
 // (identical values to Distances) implement it so per-epoch match

@@ -17,19 +17,48 @@ func RectPoly(x0, y0, x1, y1 float64) Polygon {
 	return Poly(Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1))
 }
 
+// containsPad is how far outside its bounding box Contains rejects a
+// point without looking at edges. It must exceed the 1e-9 boundary
+// tolerance plus the rounding of ClosestPoint and of the ray test's
+// crossing abscissa, a few ulps of the coordinates: 1e-6 leaves that
+// slack for any coordinate below about 1e8 m.
+const containsPad = 1e-6
+
 // Contains reports whether p lies inside the polygon (boundary points
-// count as inside), using the ray-crossing rule.
+// count as inside, within 1e-9), using the ray-crossing rule.
+//
+// The answer is boundary || ray, evaluated cheapest first, and is the
+// same bool for every input as evaluating the boundary test first:
+//   - Outside the bounding box padded by containsPad, both tests are
+//     false. No edge is within 1e-9 of p: the closest point of an edge
+//     lies in the box, up to rounding, and a computed Hypot is never
+//     below its larger leg. Nor is the crossing count odd: beyond the
+//     box in y no edge spans p.Y; beyond it in x every crossing lies on
+//     one side of p, so either none counts or all do, and a closed
+//     polygon has an even number of edges spanning any horizontal line.
+//   - Inside the box the ray test runs next, and the per-edge distance
+//     test only when it says outside.
+//
+// The box is rebuilt per call (a few compares per vertex) rather than
+// cached, because polygons are plain values whose vertices callers may
+// edit. A polygon with a NaN or infinite vertex, where the parity
+// argument fails, gets no box (builtin min/max carry the NaN into it)
+// and takes the full tests as before.
 func (pg Polygon) Contains(p Point) bool {
 	n := len(pg.Vertices)
 	if n < 3 {
 		return false
 	}
-	// Boundary check first so edge points are deterministically inside.
-	for i := 0; i < n; i++ {
-		s := Segment{pg.Vertices[i], pg.Vertices[(i+1)%n]}
-		if s.DistTo(p) < 1e-9 {
-			return true
-		}
+	v0 := pg.Vertices[0]
+	minX, maxX, minY, maxY := v0.X, v0.X, v0.Y, v0.Y
+	for _, v := range pg.Vertices[1:] {
+		minX, maxX = min(minX, v.X), max(maxX, v.X)
+		minY, maxY = min(minY, v.Y), max(maxY, v.Y)
+	}
+	finite := maxX-minX+maxY-minY < math.Inf(1)
+	if finite && (p.X < minX-containsPad || p.X > maxX+containsPad ||
+		p.Y < minY-containsPad || p.Y > maxY+containsPad) {
+		return false
 	}
 	inside := false
 	j := n - 1
@@ -43,7 +72,16 @@ func (pg Polygon) Contains(p Point) bool {
 		}
 		j = i
 	}
-	return inside
+	if inside {
+		return true
+	}
+	for i := 0; i < n; i++ {
+		s := Segment{pg.Vertices[i], pg.Vertices[(i+1)%n]}
+		if s.DistTo(p) < 1e-9 {
+			return true
+		}
+	}
+	return false
 }
 
 // Area returns the unsigned area of the polygon.

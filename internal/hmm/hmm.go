@@ -41,10 +41,104 @@ type Tracker struct {
 	// means flatter emissions.
 	EmissionScale float64
 
-	// nb, when set, lists for each state j the ascending indices of
-	// states within the transition radius (MaxStepM*3), letting Update
-	// skip the full O(N²) scan. See SetNeighborLists.
-	nb [][]int32
+	// kern, when set, holds the transition radius's neighbour pairs
+	// with their distances and step Gaussians, letting Update skip the
+	// full O(N²) scan and its per-pair Hypot and Exp. See setKernel.
+	kern *kernel
+	// next is Update's output buffer, swapped with belief after every
+	// update so steady-state tracking allocates nothing.
+	next []float64
+}
+
+// kernel is the belief-independent part of the transition model over
+// one state set: for every state j, the states i within the transition
+// radius, ascending, with their distance d = states[i].Dist(states[j])
+// and step Gaussian exp(-d²/2σ²), σ = MaxStepM. It depends only on the
+// states and MaxStepM, so a map snapshot builds one and every tracker
+// over that snapshot shares it read-only (see ShareKernel).
+//
+// Update over a kernel is bit-identical to the full scan:
+//   - The rows list the pairs the scan does not skip (d ≤ 3σ), in the
+//     scan's order, so the same terms are summed in the same order.
+//   - d and the Gaussian are the scan's own expressions evaluated once
+//     on the same operands, so they round to the same bits.
+//   - The second-order term needs the move's length |sj−si|, which the
+//     scan computes as a separate Norm. It is d bit for bit: Hypot
+//     takes absolute values first, and a−b = −(b−a) exactly in IEEE
+//     arithmetic, so both calls see the same operands.
+//
+// Surveyed maps sit on a few grid spacings, so their pairs share few
+// distinct distances. Each pair stores an index into a table of
+// distinct (d, Gaussian) values instead of the values themselves, and
+// the rows are the neighbour lists the kernel was built from, not a
+// copy: the kernel adds about 4 bytes per pair to the lists it shares
+// (about 90 KB for a campus map), where storing both values per pair
+// would add 16 and lift every node's heap.
+type kernel struct {
+	maxStepM float64
+	rows     [][]int32 // rows[j]: the neighbour list of state j
+	off      []int32   // row j's pair indices start at step[off[j]]
+	step     []int32   // per pair: index into dist and gauss
+	dist     []float64 // distinct step lengths
+	gauss    []float64 // stepGauss of each distinct length
+}
+
+// newKernel builds the transition kernel for states from neighbour
+// lists: lists[j] holds, in ascending order, every state index i with
+// states[i].Dist(states[j]) <= 3*maxStepM, self included (what
+// mapstore.Snapshot.NeighborLists returns for that radius). The kernel
+// keeps lists, which must not change afterwards. Lists of the wrong
+// length, or listing a pair beyond the radius, yield nil: the tracker
+// then takes the full scan.
+func newKernel(states []geo.Point, lists [][]int32, maxStepM float64) *kernel {
+	if len(lists) != len(states) {
+		return nil
+	}
+	k := &kernel{maxStepM: maxStepM, rows: lists, off: make([]int32, 1, len(states)+1)}
+	ids := make(map[uint64]int32)
+	for j, sj := range states {
+		for _, i := range lists[j] {
+			d := states[i].Dist(sj)
+			if d > maxStepM*3 {
+				return nil
+			}
+			id, ok := ids[math.Float64bits(d)]
+			if !ok {
+				id = int32(len(k.dist))
+				ids[math.Float64bits(d)] = id
+				k.dist = append(k.dist, d)
+				k.gauss = append(k.gauss, stepGauss(d, maxStepM))
+			}
+			k.step = append(k.step, id)
+		}
+		k.off = append(k.off, int32(len(k.step)))
+	}
+	return k
+}
+
+// KernelSource is a map revision that can hand out neighbour lists and
+// memoize values derived from it; mapstore.Snapshot implements it.
+type KernelSource interface {
+	NeighborLists(maxDistM float64) [][]int32
+	Memo(key any, build func() any) any
+}
+
+// kernelKey memoizes kernels per MaxStepM (by bits) on a KernelSource.
+type kernelKey uint64
+
+// ShareKernel installs the transition kernel src memoizes for this
+// tracker's MaxStepM, building it on first use from src's neighbour
+// lists at TransitionRadiusM. Update then walks only the kernel's
+// pairs, bit-identically to the full scan. src must be the map
+// revision whose positions are this tracker's states, so every tracker
+// over it shares one kernel. Changing MaxStepM afterwards restores the
+// full scan.
+func (t *Tracker) ShareKernel(src KernelSource) {
+	maxStep := t.MaxStepM
+	k := src.Memo(kernelKey(math.Float64bits(maxStep)), func() any {
+		return newKernel(t.states, src.NeighborLists(t.TransitionRadiusM()), maxStep)
+	}).(*kernel)
+	t.setKernel(k)
 }
 
 // New creates a tracker over the given candidate locations. The slice
@@ -83,34 +177,30 @@ func (t *Tracker) Len() int { return len(t.states) }
 // built with.
 func (t *Tracker) TransitionRadiusM() float64 { return t.MaxStepM * 3 }
 
-// SetNeighborLists installs precomputed per-state neighbor lists:
-// lists[j] holds, in ascending order, every state index i with
-// states[i].Dist(states[j]) <= TransitionRadiusM() (self included).
-// Update then only visits listed pairs, which preserves the exact
-// float summation order of the full scan (the scan skips the same
-// pairs) while cutting the transition step from O(N²) to O(N·cell).
-// Passing nil restores the full scan. Lists of the wrong length are
-// ignored.
-func (t *Tracker) SetNeighborLists(lists [][]int32) {
-	if lists != nil && len(lists) != len(t.states) {
-		return
+// setKernel installs a transition kernel built over this tracker's
+// states. Passing nil, or a kernel of the wrong length, restores the
+// full scan.
+func (t *Tracker) setKernel(k *kernel) {
+	if k != nil && len(k.off) != len(t.states)+1 {
+		k = nil
 	}
-	t.nb = lists
+	t.kern = k
 }
 
-// transWeight is the transition kernel for a move from si to sj at
-// distance d: a Gaussian over step length, boosted (second-order term)
-// when the move continues the previous displacement direction.
-func (t *Tracker) transWeight(si, sj geo.Point, d float64, dir geo.Point, dirNorm float64) float64 {
-	g := math.Exp(-d * d / (2 * t.MaxStepM * t.MaxStepM))
-	if dirNorm > 0.5 {
-		move := sj.Sub(si)
-		if mn := move.Norm(); mn > 0.3 {
-			cos := move.Dot(dir) / (mn * dirNorm)
-			g *= 1 + t.DirWeight*cos
-			if g < 0 {
-				g = 0
-			}
+// stepGauss is the transition model's Gaussian over step length d.
+func stepGauss(d, maxStepM float64) float64 {
+	return math.Exp(-d * d / (2 * maxStepM * maxStepM))
+}
+
+// secondOrder boosts the step Gaussian g of the move si→sj, of length
+// d, when it continues the previous displacement dir (the second-order
+// term).
+func (t *Tracker) secondOrder(g float64, si, sj geo.Point, d float64, dir geo.Point, dirNorm float64) float64 {
+	if dirNorm > 0.5 && d > 0.3 {
+		cos := sj.Sub(si).Dot(dir) / (d * dirNorm)
+		g *= 1 + t.DirWeight*cos
+		if g < 0 {
+			g = 0
 		}
 	}
 	return g
@@ -123,30 +213,28 @@ func (t *Tracker) Update(rssiDists []float64) geo.Point {
 	if len(rssiDists) != len(t.states) || len(t.states) == 0 {
 		return t.cur
 	}
-	next := make([]float64, len(t.states))
+	if len(t.next) != len(t.states) {
+		t.next = make([]float64, len(t.states))
+	}
+	next := t.next
+	k := t.kern
+	if k != nil && k.maxStepM != t.MaxStepM {
+		k = nil
+	}
 	dir := t.cur.Sub(t.prev)
 	dirNorm := dir.Norm()
 	for j, sj := range t.states {
-		// Transition: sum over weighted previous belief. The indexed
-		// variant walks only the precomputed neighbors of j; because
-		// the full scan skips exactly the pairs the lists exclude
-		// (d > MaxStepM*3), both paths add the same terms in the same
-		// order and produce bit-identical beliefs.
 		var trans float64
 		if !t.init {
 			trans = 1
-		} else if t.nb != nil {
-			for _, i32 := range t.nb[j] {
-				i := int(i32)
+		} else if k != nil {
+			steps := k.step[k.off[j]:k.off[j+1]]
+			for x, i := range k.rows[j] {
 				if t.belief[i] <= 1e-12 {
 					continue
 				}
-				si := t.states[i]
-				d := si.Dist(sj)
-				if d > t.MaxStepM*3 {
-					continue // defensive: lists built for a smaller radius
-				}
-				trans += t.belief[i] * t.transWeight(si, sj, d, dir, dirNorm)
+				e := steps[x]
+				trans += t.belief[i] * t.secondOrder(k.gauss[e], t.states[i], sj, k.dist[e], dir, dirNorm)
 			}
 		} else {
 			for i, si := range t.states {
@@ -157,7 +245,7 @@ func (t *Tracker) Update(rssiDists []float64) geo.Point {
 				if d > t.MaxStepM*3 {
 					continue
 				}
-				trans += t.belief[i] * t.transWeight(si, sj, d, dir, dirNorm)
+				trans += t.belief[i] * t.secondOrder(stepGauss(d, t.MaxStepM), si, sj, d, dir, dirNorm)
 			}
 		}
 		emit := math.Exp(-rssiDists[j] / t.EmissionScale)
@@ -181,7 +269,7 @@ func (t *Tracker) Update(rssiDists []float64) geo.Point {
 	for j := range next {
 		next[j] /= total
 	}
-	t.belief = next
+	t.belief, t.next = next, t.belief
 
 	var x, y float64
 	for j, s := range t.states {
@@ -198,13 +286,14 @@ func (t *Tracker) Update(rssiDists []float64) geo.Point {
 // first update).
 func (t *Tracker) Predicted() geo.Point { return t.cur }
 
-// ExportState copies out the tracker's mutable filter state — the
+// ExportState returns the tracker's mutable filter state — the
 // current belief, the last two predicted positions, and whether the
-// first update has happened — for session migration. The states slice
-// itself is derived from the map snapshot and is rebuilt, not
-// shipped.
+// first update has happened — for session migration. belief is the
+// tracker's own buffer, not a copy: read it before the next Update or
+// RestoreState, and never write it. The states slice itself is derived
+// from the map snapshot and is rebuilt, not shipped.
 func (t *Tracker) ExportState() (belief []float64, prev, cur geo.Point, init bool) {
-	return append([]float64(nil), t.belief...), t.prev, t.cur, t.init
+	return t.belief, t.prev, t.cur, t.init
 }
 
 // RestoreState installs exported filter state into a tracker built

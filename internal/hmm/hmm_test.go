@@ -141,7 +141,7 @@ func gridStates(side int) []geo.Point {
 }
 
 // neighborListsFor computes the reference neighbor lists by the same
-// definition SetNeighborLists documents.
+// definition newKernel documents.
 func neighborListsFor(states []geo.Point, maxD float64) [][]int32 {
 	out := make([][]int32, len(states))
 	for j := range states {
@@ -155,13 +155,14 @@ func neighborListsFor(states []geo.Point, maxD float64) [][]int32 {
 	return out
 }
 
-// TestTrackerNeighborListsEquivalent verifies the indexed transition
-// path is bit-identical to the full scan over a long tracked walk.
+// TestTrackerNeighborListsEquivalent verifies the transition kernel
+// built from neighbor lists is bit-identical to the full scan over a
+// long tracked walk.
 func TestTrackerNeighborListsEquivalent(t *testing.T) {
 	states := gridStates(12)
 	full := New(states)
 	fast := New(states)
-	fast.SetNeighborLists(neighborListsFor(states, fast.TransitionRadiusM()))
+	fast.setKernel(newKernel(states, neighborListsFor(states, fast.TransitionRadiusM()), fast.MaxStepM))
 
 	for step := 0; step < 30; step++ {
 		truth := geo.Pt(float64(step)*1.2, float64(step)*0.7)
@@ -179,20 +180,95 @@ func TestTrackerNeighborListsEquivalent(t *testing.T) {
 	}
 }
 
-func TestTrackerSetNeighborListsValidation(t *testing.T) {
+func TestTrackerSetKernelValidation(t *testing.T) {
 	states := lineStates(8)
 	tr := New(states)
-	tr.SetNeighborLists(make([][]int32, 3)) // wrong length: ignored
-	if tr.nb != nil {
-		t.Fatal("mismatched neighbor lists were installed")
-	}
 	lists := neighborListsFor(states, tr.TransitionRadiusM())
-	tr.SetNeighborLists(lists)
-	if tr.nb == nil {
-		t.Fatal("valid neighbor lists rejected")
+	if newKernel(states, lists[:3], tr.MaxStepM) != nil {
+		t.Fatal("kernel built from lists of the wrong length")
 	}
-	tr.SetNeighborLists(nil)
-	if tr.nb != nil {
+	if newKernel(states, neighborListsFor(states, 100), tr.MaxStepM) != nil {
+		t.Fatal("kernel built from lists reaching past the transition radius")
+	}
+	tr.setKernel(newKernel(states[:3], neighborListsFor(states[:3], 18), tr.MaxStepM)) // wrong length: ignored
+	if tr.kern != nil {
+		t.Fatal("mismatched kernel was installed")
+	}
+	tr.setKernel(newKernel(states, lists, tr.MaxStepM))
+	if tr.kern == nil {
+		t.Fatal("valid kernel rejected")
+	}
+	tr.setKernel(nil)
+	if tr.kern != nil {
 		t.Fatal("nil did not restore the full scan")
+	}
+}
+
+// TestTrackerKernelIgnoredAfterMaxStepChange pins the fallback: a
+// kernel's Gaussians are only valid for the MaxStepM it was built
+// with, so changing MaxStepM afterwards must give the full scan's
+// answer, not a stale kernel's.
+func TestTrackerKernelIgnoredAfterMaxStepChange(t *testing.T) {
+	states := gridStates(8)
+	full, fast := New(states), New(states)
+	fast.setKernel(newKernel(states, neighborListsFor(states, fast.TransitionRadiusM()), fast.MaxStepM))
+	if fast.kern == nil {
+		t.Fatal("kernel not installed")
+	}
+	full.MaxStepM, fast.MaxStepM = 4, 4
+	for step := 0; step < 10; step++ {
+		dists := distsFor(states, geo.Pt(float64(step)*1.5, 6))
+		if a, b := full.Update(dists), fast.Update(dists); a != b {
+			t.Fatalf("step %d: %v != %v", step, a, b)
+		}
+	}
+}
+
+// memoSource is a minimal KernelSource over fixed lists.
+type memoSource struct {
+	lists  [][]int32
+	memo   map[any]any
+	builds int
+}
+
+func (m *memoSource) NeighborLists(float64) [][]int32 { return m.lists }
+
+func (m *memoSource) Memo(key any, build func() any) any {
+	if v, ok := m.memo[key]; ok {
+		return v
+	}
+	m.builds++
+	v := build()
+	m.memo[key] = v
+	return v
+}
+
+func TestShareKernelBuildsOncePerMaxStep(t *testing.T) {
+	states := gridStates(6)
+	src := &memoSource{lists: neighborListsFor(states, 18), memo: map[any]any{}}
+	a, b := New(states), New(states)
+	a.ShareKernel(src)
+	b.ShareKernel(src)
+	if a.kern == nil || a.kern != b.kern || src.builds != 1 {
+		t.Fatalf("kernels %p %p after %d builds; want one shared kernel", a.kern, b.kern, src.builds)
+	}
+	c := New(states)
+	c.MaxStepM = 5
+	c.ShareKernel(src)
+	if c.kern == a.kern || src.builds != 2 {
+		t.Fatal("a different MaxStepM reused another step's kernel")
+	}
+}
+
+// TestTrackerUpdateAllocs guards the double-buffered belief: once the
+// first update has sized the buffers, tracking allocates nothing.
+func TestTrackerUpdateAllocs(t *testing.T) {
+	states := gridStates(12)
+	tr := New(states)
+	tr.setKernel(newKernel(states, neighborListsFor(states, tr.TransitionRadiusM()), tr.MaxStepM))
+	dists := distsFor(states, geo.Pt(10, 12))
+	tr.Update(dists)
+	if n := testing.AllocsPerRun(50, func() { tr.Update(dists) }); n != 0 {
+		t.Fatalf("Update allocates %.1f times per call in steady state", n)
 	}
 }

@@ -73,9 +73,10 @@ type Snapshot struct {
 	sigLo  []float64
 	sigHi  []float64
 
-	// Lazily-built physical neighbour lists, cached per radius.
-	nbMu sync.Mutex
-	nb   map[float64][][]int32
+	// Lazily-built values derived from the snapshot (neighbour lists
+	// per radius, other packages' structures), one entry per key.
+	memoMu sync.Mutex
+	memo   map[any]*memoEntry
 
 	met *Metrics // nil when unobserved
 }
@@ -121,7 +122,6 @@ func Build(db *fingerprint.DB, version uint64, cellM float64, met *Metrics) *Sna
 		floor:   db.Floor,
 		spacing: db.SpacingM,
 		cellM:   cellM,
-		nb:      make(map[float64][][]int32),
 		met:     met,
 	}
 	n := len(db.Points)
@@ -699,16 +699,46 @@ func (s *Snapshot) DensityAround(p geo.Point, neighbours int) float64 {
 	return math.Min(v, 20)
 }
 
-// NeighborLists implements fingerprint.NeighborLister: for every point,
-// the ascending indices of all points within maxDistM (inclusive, self
-// included), computed by ring search and cached per radius. The HMM
-// tracker walks these instead of scanning all N states per transition.
-func (s *Snapshot) NeighborLists(maxDistM float64) [][]int32 {
-	s.nbMu.Lock()
-	defer s.nbMu.Unlock()
-	if nb, ok := s.nb[maxDistM]; ok {
-		return nb
+// memoEntry is one Memo slot: built once, then read-only.
+type memoEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Memo returns the value memoized on this snapshot under key, calling
+// build exactly once per key (concurrent callers wait for it). Values
+// derived from a snapshot that belong to other packages — the HMM
+// transition kernel — live here, so every session pinned to the
+// snapshot shares one copy and it is freed with the snapshot. Callers
+// key with a type of their own package, so keys cannot collide, and
+// must not mutate the value. build may call Memo for other keys.
+func (s *Snapshot) Memo(key any, build func() any) any {
+	s.memoMu.Lock()
+	e := s.memo[key]
+	if e == nil {
+		if s.memo == nil {
+			s.memo = make(map[any]*memoEntry)
+		}
+		e = &memoEntry{}
+		s.memo[key] = e
 	}
+	s.memoMu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
+}
+
+// neighborKey memoizes NeighborLists per radius.
+type neighborKey float64
+
+// NeighborLists returns, for every point, the ascending indices of all
+// points within maxDistM (inclusive, self included), computed by ring
+// search and memoized per radius. The HMM tracker's transition kernel
+// is built from them (hmm.Tracker.ShareKernel).
+func (s *Snapshot) NeighborLists(maxDistM float64) [][]int32 {
+	return s.Memo(neighborKey(maxDistM), func() any { return s.neighborLists(maxDistM) }).([][]int32)
+}
+
+func (s *Snapshot) neighborLists(maxDistM float64) [][]int32 {
 	n := s.Len()
 	nb := make([][]int32, n)
 	for j := 0; j < n; j++ {
@@ -731,6 +761,5 @@ func (s *Snapshot) NeighborLists(maxDistM float64) [][]int32 {
 		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
 		nb[j] = list
 	}
-	s.nb[maxDistM] = nb
 	return nb
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fingerprint"
@@ -274,6 +276,40 @@ func TestSnapshotNeighborLists(t *testing.T) {
 	}
 }
 
+// TestSnapshotMemo checks Memo builds each key once under concurrent
+// callers, keeps keys of different types apart, and lets a build call
+// Memo for another key (the HMM kernel builds from NeighborLists).
+func TestSnapshotMemo(t *testing.T) {
+	snap := Build(synthDB(50, 8, 3), 1, 0, nil)
+	type keyA float64
+	type keyB float64
+	var builds atomic.Int32
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = snap.Memo(keyA(18), func() any {
+				builds.Add(1)
+				return &snap.NeighborLists(18)[0]
+			})
+		}(g)
+	}
+	wg.Wait()
+	if builds.Load() != 1 {
+		t.Fatalf("Memo built %d times, want 1", builds.Load())
+	}
+	for _, v := range got[1:] {
+		if v != got[0] {
+			t.Fatal("concurrent callers saw different values")
+		}
+	}
+	if v := snap.Memo(keyB(18), func() any { return "b" }); v != "b" {
+		t.Fatalf("keys of different types collided: got %v", v)
+	}
+}
+
 // TestSnapshotEmptyAndDegenerate covers empty maps and single points.
 func TestSnapshotEmptyAndDegenerate(t *testing.T) {
 	empty := Build(&fingerprint.DB{SpacingM: 3, Floor: -100}, 1, 0, nil)
@@ -307,7 +343,10 @@ func TestSnapshotEmptyAndDegenerate(t *testing.T) {
 // TestSnapshotReaderInterface pins the static contract.
 func TestSnapshotReaderInterface(t *testing.T) {
 	var _ fingerprint.Reader = (*Snapshot)(nil)
-	var _ fingerprint.NeighborLister = (*Snapshot)(nil)
+	var _ interface {
+		NeighborLists(float64) [][]int32
+		Memo(any, func() any) any
+	} = (*Snapshot)(nil) // hmm.KernelSource, which mapstore does not import
 	var _ fingerprint.Map = (*Store)(nil)
 
 	db := synthDB(20, 8, 9)

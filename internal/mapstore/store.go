@@ -113,7 +113,7 @@ func copyDB(db *fingerprint.DB) *fingerprint.DB {
 func (s *Store) View() fingerprint.Reader { return s.snap.Load() }
 
 // Snapshot returns the current snapshot with its concrete type (for
-// NeighborLists and version/age inspection).
+// NeighborLists, Memo and version/age inspection).
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Version returns the version of the live snapshot.

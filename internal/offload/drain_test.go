@@ -98,11 +98,36 @@ func TestDrainIdleForceClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := NewClient(conn, "phone-idle")
-	defer func() { _ = client.Close() }()
 	start, snaps := corridorWalk(w, 2, 9, 2)
 	results := runWalk(t, client, start, snaps)
 	if !results[len(results)-1].OK {
 		t.Fatal("warmup walk failed")
+	}
+
+	// Right after answering an epoch the serving goroutine checks for a
+	// drain and, if one began meanwhile, closes at that boundary itself
+	// — a graceful close, not the forced one under test. Only a session
+	// already blocked reading its next epoch is idle for certain, so
+	// park the walk with a connection reset and resume it on a fresh
+	// connection: a resumed session goes straight to that read.
+	_ = conn.(*net.TCPConn).SetLinger(0)
+	_ = client.Close()
+	for deadline := time.Now().Add(5 * time.Second); ls.srv.Stats().Detached < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("reset connection was never parked")
+		}
+	}
+	conn, err = net.Dial("tcp", ls.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client = NewClient(conn, "phone-idle")
+	defer func() { _ = client.Close() }()
+	if err := client.Hello(start); err != nil {
+		t.Fatal(err)
+	}
+	if client.Resumes() != 1 {
+		t.Fatal("the walked session was not resumed")
 	}
 
 	_ = ls.ln.Close()

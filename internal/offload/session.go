@@ -13,6 +13,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mapstore"
 	"repro/internal/sharedcompute"
+	"repro/internal/statecodec"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -38,6 +39,9 @@ type Session struct {
 	proto   byte        // negotiated protocol version
 	replay  replayCache // v4: bounded per-seq result cache
 	lastSeq uint32      // v4: newest answered epoch sequence number
+	// exportHint is the size of the last ExportState blob, which
+	// presizes the next one.
+	exportHint int
 
 	// Span-tracing state (nil/empty when the server has no tracer).
 	// spans is the framework-observer bridge that turns each epoch's
@@ -524,22 +528,26 @@ func (m *SessionManager) SetReplayCaps(entries, bytes int) {
 // session's epochs (it reads the same state Step mutates) — the server
 // exports at epoch boundaries.
 func (m *SessionManager) ExportState(s *Session, mapVers map[byte]uint64) ([]byte, error) {
-	fw, err := s.fw.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	st := &SessionState{
+	st := SessionState{
 		ClientID: s.ClientID,
 		Proto:    s.proto,
 		Seq:      s.lastSeq,
-		Replay:   make([]ReplayEntry, 0, len(s.replay.entries)),
+		Replay:   s.replay.entries,
 		MapVers:  mapVers,
-		FW:       fw,
 	}
-	for _, e := range s.replay.entries {
-		st.Replay = append(st.Replay, ReplayEntry{Seq: e.seq, Payload: e.payload})
+	// One buffer for the whole blob: the framework snapshot is
+	// appended in place behind a back-patched length, into capacity
+	// sized from the previous export (a session's state size barely
+	// moves between epochs) with a little slack for growth.
+	dst := make([]byte, 0, max(st.headerLen()+4, s.exportHint+s.exportHint/16))
+	dst, at := statecodec.OpenBytes(st.appendHeader(dst))
+	dst, err := s.fw.AppendSnapshot(dst)
+	if err != nil {
+		return nil, err
 	}
-	return EncodeSessionState(st), nil
+	dst = statecodec.CloseBytes(dst, at)
+	s.exportHint = len(dst)
+	return dst, nil
 }
 
 // Inject materializes a session from a peer's handoff blob and parks

@@ -16,12 +16,6 @@ const (
 	DefaultReplayBytes   = 16 * 1024
 )
 
-// replayEntry is one answered epoch in a session's replay cache.
-type replayEntry struct {
-	seq     uint32
-	payload []byte
-}
-
 // replayCache is the bounded per-session store of recently answered
 // epoch results, keyed by the client's v4 sequence number. It replaces
 // the original single-slot cache: a session that survives a node
@@ -32,7 +26,7 @@ type replayEntry struct {
 // (uniloc_replay_evictions_total). Owned by the serving goroutine, like
 // the rest of the session's protocol state.
 type replayCache struct {
-	entries    []replayEntry // ascending arrival order: oldest first
+	entries    []ReplayEntry // ascending arrival order: oldest first
 	bytes      int
 	maxEntries int // <= 0: DefaultReplayEntries
 	maxBytes   int // <= 0: DefaultReplayBytes
@@ -52,8 +46,8 @@ func (c *replayCache) caps() (int, int) {
 // get returns the cached result payload for seq, or nil.
 func (c *replayCache) get(seq uint32) []byte {
 	for i := len(c.entries) - 1; i >= 0; i-- {
-		if c.entries[i].seq == seq {
-			return c.entries[i].payload
+		if c.entries[i].Seq == seq {
+			return c.entries[i].Payload
 		}
 	}
 	return nil
@@ -66,13 +60,13 @@ func (c *replayCache) get(seq uint32) []byte {
 // recent epoch, or reconnect replay breaks entirely.
 func (c *replayCache) put(seq uint32, payload []byte) int {
 	for i := range c.entries {
-		if c.entries[i].seq == seq {
-			c.bytes += len(payload) - len(c.entries[i].payload)
-			c.entries[i].payload = payload
+		if c.entries[i].Seq == seq {
+			c.bytes += len(payload) - len(c.entries[i].Payload)
+			c.entries[i].Payload = payload
 			return c.trim()
 		}
 	}
-	c.entries = append(c.entries, replayEntry{seq: seq, payload: payload})
+	c.entries = append(c.entries, ReplayEntry{Seq: seq, Payload: payload})
 	c.bytes += len(payload)
 	return c.trim()
 }
@@ -83,8 +77,8 @@ func (c *replayCache) trim() int {
 	maxEntries, maxBytes := c.caps()
 	evicted := 0
 	for len(c.entries) > 1 && (len(c.entries) > maxEntries || c.bytes > maxBytes) {
-		c.bytes -= len(c.entries[0].payload)
-		c.entries[0] = replayEntry{}
+		c.bytes -= len(c.entries[0].Payload)
+		c.entries[0] = ReplayEntry{}
 		c.entries = c.entries[1:]
 		evicted++
 	}
@@ -112,16 +106,33 @@ type SessionState struct {
 	FW       []byte          // core.Framework snapshot blob
 }
 
-// ReplayEntry is one answered epoch in an exported SessionState.
+// ReplayEntry is one answered epoch, in a session's replay cache and
+// in an exported SessionState.
 type ReplayEntry struct {
 	Seq     uint32
 	Payload []byte
 }
 
 // EncodeSessionState packs a session state into its versioned wire
-// form.
+// form, in one buffer of exactly the encoded size.
 func EncodeSessionState(st *SessionState) []byte {
-	dst := []byte{sessionStateVersion}
+	dst := make([]byte, 0, st.headerLen()+4+len(st.FW))
+	return statecodec.AppendBytes(st.appendHeader(dst), st.FW)
+}
+
+// headerLen is the encoded size of everything before the FW field.
+func (st *SessionState) headerLen() int {
+	n := 1 + 4 + len(st.ClientID) + 1 + 4 + 4 + 4 + 9*len(st.MapVers)
+	for _, e := range st.Replay {
+		n += 4 + 4 + len(e.Payload)
+	}
+	return n
+}
+
+// appendHeader appends the encoding of every field but FW, which the
+// caller appends as a length-prefixed byte field.
+func (st *SessionState) appendHeader(dst []byte) []byte {
+	dst = append(dst, sessionStateVersion)
 	dst = statecodec.AppendString(dst, st.ClientID)
 	dst = statecodec.AppendU8(dst, st.Proto)
 	dst = statecodec.AppendU32(dst, st.Seq)
@@ -140,7 +151,6 @@ func EncodeSessionState(st *SessionState) []byte {
 		dst = statecodec.AppendU8(dst, byte(id))
 		dst = statecodec.AppendU64(dst, v)
 	}
-	dst = statecodec.AppendBytes(dst, st.FW)
 	return dst
 }
 

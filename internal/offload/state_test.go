@@ -3,7 +3,18 @@ package offload
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mapstore"
+	"repro/internal/prng"
+	"repro/internal/regress"
+	"repro/internal/schemes"
+	"repro/internal/statecodec"
+	"repro/internal/telemetry"
+	"repro/internal/world"
 )
 
 // TestReplayCacheBounds pins the v4 replay cache's eviction contract:
@@ -98,4 +109,138 @@ func TestSessionStateRoundTrip(t *testing.T) {
 	if _, err := DecodeSessionState(bad); err == nil {
 		t.Fatal("unknown version must be rejected")
 	}
+}
+
+// encodeSessionStateRef is EncodeSessionState as it was before the
+// session export moved to one presized buffer: every field appended to
+// a buffer grown from one byte. The golden test below holds the
+// one-buffer export to its bytes.
+func encodeSessionStateRef(st *SessionState) []byte {
+	dst := []byte{sessionStateVersion}
+	dst = statecodec.AppendString(dst, st.ClientID)
+	dst = statecodec.AppendU8(dst, st.Proto)
+	dst = statecodec.AppendU32(dst, st.Seq)
+	dst = statecodec.AppendU32(dst, uint32(len(st.Replay)))
+	for _, e := range st.Replay {
+		dst = statecodec.AppendU32(dst, e.Seq)
+		dst = statecodec.AppendBytes(dst, e.Payload)
+	}
+	dst = statecodec.AppendU32(dst, uint32(len(st.MapVers)))
+	for id := 0; id < 256; id++ {
+		v, ok := st.MapVers[byte(id)]
+		if !ok {
+			continue
+		}
+		dst = statecodec.AppendU8(dst, byte(id))
+		dst = statecodec.AppendU64(dst, v)
+	}
+	return statecodec.AppendBytes(dst, st.FW)
+}
+
+// trackedStoreFactory is fusionStoreWorld's factory with the particle
+// filters' RNG streams tracked, so its sessions can be exported.
+func trackedStoreFactory(t testing.TB) (core.FrameworkFactory, *world.World, *mapstore.Store) {
+	_, w, store := fusionStoreWorld(t, telemetry.NewRegistry())
+	ms := core.NewModelSet()
+	for _, name := range []string{schemes.NameWiFi, schemes.NameMotion, schemes.NameFusion} {
+		for _, env := range []core.EnvClass{core.EnvIndoor, core.EnvOutdoor} {
+			ms.Put(&core.ErrorModel{
+				Scheme: name, Env: env,
+				Reg: &regress.Result{HasIntercept: true, Intercept: 3, ResidStd: 2},
+			})
+		}
+	}
+	factory := func() (*core.Framework, error) {
+		pdrSrc, fusionSrc := prng.New(2), prng.New(3)
+		pdr := schemes.NewPDR(w, schemes.DefaultPDRConfig(), rand.New(pdrSrc))
+		pdr.TrackSource(pdrSrc)
+		fusion := schemes.NewFusion(w, store, schemes.DefaultFusionConfig(), rand.New(fusionSrc))
+		fusion.TrackSource(fusionSrc)
+		return core.NewFramework([]schemes.Scheme{schemes.NewWiFi(store), pdr, fusion}, ms)
+	}
+	return factory, w, store
+}
+
+// exportWalk opens one session and steps it through a corridor walk,
+// calling at after every epoch with the session's replay cache and
+// sequence number updated as the server would.
+func exportWalk(t *testing.T, epochs int, at func(m *SessionManager, s *Session)) {
+	factory, w, _ := trackedStoreFactory(t)
+	m, err := NewSessionManager(factory, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, snaps := corridorWalk(w, 2, 9, epochs)
+	s, err := m.Open("phone-7", start, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, snap := range snaps {
+		res := s.fw.Step(snap)
+		s.lastSeq = uint32(i + 1)
+		s.replay.put(s.lastSeq, EncodeResult(&Result{X: res.BMA.X, Y: res.BMA.Y, OK: true}))
+		at(m, s)
+	}
+}
+
+// TestExportStateMatchesReferenceEncoder is the export path's golden
+// test: the one-buffer ExportState and the exact-size
+// EncodeSessionState must write byte for byte what the grow-as-you-go
+// encoders wrote, every epoch of a walk.
+func TestExportStateMatchesReferenceEncoder(t *testing.T) {
+	vers := map[byte]uint64{MapWiFi: 3, MapCellular: 1}
+	exportWalk(t, 30, func(m *SessionManager, s *Session) {
+		got, err := m.ExportState(s, vers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw, err := s.fw.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &SessionState{
+			ClientID: s.ClientID, Proto: s.proto, Seq: s.lastSeq,
+			Replay: append([]ReplayEntry(nil), s.replay.entries...), MapVers: vers, FW: fw,
+		}
+		want := encodeSessionStateRef(st)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seq %d: ExportState differs from the reference encoding (%d vs %d bytes)", s.lastSeq, len(got), len(want))
+		}
+		if enc := EncodeSessionState(st); !bytes.Equal(enc, want) || cap(enc) != len(enc) {
+			t.Fatalf("seq %d: EncodeSessionState differs from the reference or is not exact-size", s.lastSeq)
+		}
+	})
+}
+
+// TestExportStateAllocs guards the export garbage: once a session has
+// exported once, an export is a few allocations totalling about one
+// state's size, not the several grown copies it used to be.
+func TestExportStateAllocs(t *testing.T) {
+	vers := map[byte]uint64{MapWiFi: 3}
+	exportWalk(t, 12, func(m *SessionManager, s *Session) {
+		if s.lastSeq < 12 {
+			return
+		}
+		blob, err := m.ExportState(s, vers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := m.ExportState(s, vers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
+		t.Logf("export: %d bytes, %.0f allocs, %.0f bytes allocated per export", len(blob), allocs, perRun)
+		if allocs > 4 {
+			t.Errorf("ExportState makes %.0f allocations, want at most 4", allocs)
+		}
+		if perRun > 2*float64(len(blob)) {
+			t.Errorf("ExportState allocates %.0f bytes for a %d-byte state, want at most 2x", perRun, len(blob))
+		}
+	})
 }

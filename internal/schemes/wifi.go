@@ -34,8 +34,9 @@ const MinAPsForFix = 2
 // or a shared, versioned *mapstore.Store. Each Estimate pins one View,
 // so a whole sensing epoch always sees a single consistent map
 // revision even while a store compacts in new versions; the HMM
-// tracker is rebuilt (and its spatial neighbor lists reinstalled) when
-// the pinned version changes, since its states are the map's points.
+// tracker is rebuilt (and the snapshot's transition kernel installed)
+// when the pinned version changes, since its states are the map's
+// points.
 type Fingerprinting struct {
 	name       string
 	m          fingerprint.Map
@@ -101,22 +102,21 @@ func (f *Fingerprinting) SetSharedCompute(c *sharedcompute.Cache) { f.shared = c
 // Name implements Scheme.
 func (f *Fingerprinting) Name() string { return f.name }
 
-// rebuildTracker recreates the HMM over the view's positions, wiring
-// in precomputed neighbor lists when the map carries a spatial index.
-// When the view is a snapshot with a retained shared-compute entry,
-// the tracker adopts the entry's immutable positions slice (one
-// materialization per compaction instead of one copy per session) and
-// the snapshot-cached neighbor lists; otherwise it builds privately.
-// The tracker itself behaves identically either way.
+// rebuildTracker recreates the HMM over the view's positions, sharing
+// the snapshot's transition kernel when the map carries a spatial
+// index. When the view is a snapshot with a retained shared-compute
+// entry, the tracker adopts the entry's immutable positions slice (one
+// materialization per compaction instead of one copy per session);
+// otherwise it copies them. The tracker itself behaves identically
+// either way.
 func (f *Fingerprinting) rebuildTracker(view fingerprint.Reader) {
 	if e := f.shared.Get(view); e != nil {
 		f.tracker = hmm.NewShared(e.Positions())
-		f.tracker.SetNeighborLists(e.NeighborLists(f.tracker.TransitionRadiusM()))
 	} else {
 		f.tracker = hmm.New(view.Positions())
-		if nl, ok := view.(fingerprint.NeighborLister); ok {
-			f.tracker.SetNeighborLists(nl.NeighborLists(f.tracker.TransitionRadiusM()))
-		}
+	}
+	if src, ok := view.(hmm.KernelSource); ok {
+		f.tracker.ShareKernel(src)
 	}
 	f.trackerVer = view.Version()
 }

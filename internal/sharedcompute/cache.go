@@ -10,9 +10,10 @@
 //   - per-(scale, observation) RSSI likelihood rows — the canonical
 //     per-cell values Fusion.weightByRSSI memoizes, computed once and
 //     shared (LikRow);
-//   - the snapshot's state positions and HMM neighbor lists, so
-//     trackers rebuild by adopting shared immutable slices instead of
-//     copying and rescanning (Positions, NeighborLists);
+//   - the snapshot's state positions, so trackers rebuild by adopting
+//     a shared immutable slice instead of copying it (Positions; the
+//     HMM transition kernel lives on the snapshot itself, see
+//     mapstore.Snapshot.Memo);
 //   - per-cell representative fingerprint indices, resolving each
 //     likelihood-grid cell's nearest fingerprint once (RepVec).
 //

@@ -48,15 +48,6 @@ func (e *Entry) Positions() []geo.Point {
 	return e.pos
 }
 
-// NeighborLists returns the snapshot's HMM neighbor lists for the
-// given transition radius. The snapshot itself memoizes the build per
-// radius, so all sessions already share one [][]int32; routing the
-// call through the entry keeps the shared-compute counters honest
-// about who serves tracker rebuilds.
-func (e *Entry) NeighborLists(radius float64) [][]int32 {
-	return e.snap.NeighborLists(radius)
-}
-
 // RepVec returns the vector of the cell's representative fingerprint —
 // the physically nearest point to the cell center, resolved once per
 // (snapshot, cell) and shared across observations and sessions. ok is

@@ -49,6 +49,23 @@ func AppendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// OpenBytes starts a length-prefixed byte field whose body the caller
+// then appends in place: it reserves the uint32 prefix and returns the
+// body's start offset for CloseBytes. The pair writes exactly what
+// AppendBytes writes, without building the body in a buffer of its
+// own first.
+func OpenBytes(dst []byte) ([]byte, int) {
+	dst = append(dst, 0, 0, 0, 0)
+	return dst, len(dst)
+}
+
+// CloseBytes back-patches the length prefix of the field OpenBytes
+// opened at body offset start, ending the body at len(dst).
+func CloseBytes(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start-4:start], uint32(len(dst)-start))
+	return dst
+}
+
 // AppendString appends a uint32 length prefix and the string bytes.
 func AppendString(dst []byte, s string) []byte {
 	dst = AppendU32(dst, uint32(len(s)))
