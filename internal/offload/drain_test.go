@@ -134,7 +134,13 @@ func TestDrainIdleForceClose(t *testing.T) {
 	if forced := ls.srv.Drain(50 * time.Millisecond); forced != 1 {
 		t.Fatalf("drain force-closed %d connections, want 1", forced)
 	}
-	if st := ls.srv.Stats(); st.Drained != 1 || st.Active != 0 {
+	// Drain closes the connection; the serving goroutine then ends the
+	// session on its own schedule.
+	st := ls.srv.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.Active != 0 && time.Now().Before(deadline); st = ls.srv.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if st.Drained != 1 || st.Active != 0 {
 		t.Fatalf("after forced drain: drained=%d active=%d, want 1 and 0", st.Drained, st.Active)
 	}
 	// The client observes a dead connection, not a served result.
