@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -734,20 +735,43 @@ func TestClusterChaosFailover(t *testing.T) {
 	}
 }
 
-// TestHandoffPutEncoding pins the handoff push frame: the exact-size
-// encoder writes what the grow-as-you-go encoding wrote, and decodes
-// back to its fields.
+// TestHandoffPutEncoding pins the handoff push frame: the shipper's
+// vectored write puts on the wire exactly the frame writeRepFrame
+// wrote for the grow-as-you-go encoding, and the decoder hands the
+// state back as a subslice of the frame, not a copy.
 func TestHandoffPutEncoding(t *testing.T) {
 	state := bytes.Repeat([]byte{7, 1, 9}, 5000)
-	got := encodeHandoffPut("phone-3", 41, state)
 	want := statecodec.AppendU32(nil, 41)
 	want = statecodec.AppendString(want, "phone-3")
 	want = statecodec.AppendBytes(want, state)
-	if !bytes.Equal(got, want) || cap(got) != len(got) {
-		t.Fatalf("put frame differs from the reference (%d vs %d bytes, cap %d)", len(got), len(want), cap(got))
+	var wantFrame bytes.Buffer
+	if err := writeRepFrame(&wantFrame, hoPut, want); err != nil {
+		t.Fatal(err)
 	}
-	id, seq, st, err := decodeHandoffPut(got)
+	var got bytes.Buffer
+	hdr := make([]byte, 0, 8) // reused scratch gets overwritten, not appended to
+	for i := 0; i < 2; i++ {
+		got.Reset()
+		var err error
+		if hdr, err = writeHandoffPut(&got, hdr, "phone-3", 41, state); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), wantFrame.Bytes()) {
+			t.Fatalf("write %d: put frame differs from the reference (%d vs %d bytes)", i, got.Len(), wantFrame.Len())
+		}
+	}
+	typ, payload, err := readRepFrame(&got)
+	if err != nil || typ != hoPut {
+		t.Fatalf("read back: type %d, %v", typ, err)
+	}
+	id, seq, st, err := decodeHandoffPut(payload)
 	if err != nil || id != "phone-3" || seq != 41 || !bytes.Equal(st, state) {
 		t.Fatalf("round trip: %q %d %d bytes, %v", id, seq, len(st), err)
+	}
+	if &st[0] != &payload[len(payload)-len(state)] {
+		t.Fatal("decoded state is a copy, not a subslice of the frame")
+	}
+	if _, err := writeHandoffPut(&got, hdr, "phone-3", 41, make([]byte, maxRepPayload)); !errors.Is(err, ErrRepProtocol) {
+		t.Fatalf("oversized put: %v, want ErrRepProtocol", err)
 	}
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -22,20 +24,32 @@ const (
 	hoMiss  byte = 13 // peer → node: fetch reply, no state held
 )
 
-// encodeHandoffPut packs a push: [u32 seq][client][state], in one
-// buffer of exactly that size.
-func encodeHandoffPut(clientID string, seq uint32, state []byte) []byte {
-	dst := make([]byte, 0, 4+4+len(clientID)+4+len(state))
-	dst = statecodec.AppendU32(dst, seq)
-	dst = statecodec.AppendString(dst, clientID)
-	return statecodec.AppendBytes(dst, state)
+// writeHandoffPut writes a push frame, writeRepFrame(w, hoPut,
+// [u32 seq][client][state]), without copying the state: the frame and
+// push headers are built in hdr (scratch, returned for reuse) and go
+// out with the state in one vectored write on a TCP connection.
+func writeHandoffPut(w io.Writer, hdr []byte, clientID string, seq uint32, state []byte) ([]byte, error) {
+	n := 4 + 4 + len(clientID) + 4 + len(state)
+	if n > maxRepPayload {
+		return hdr, fmt.Errorf("%w: frame payload %d exceeds %d", ErrRepProtocol, n, maxRepPayload)
+	}
+	hdr = binary.BigEndian.AppendUint32(append(hdr[:0], hoPut), uint32(n))
+	hdr = statecodec.AppendU32(hdr, seq)
+	hdr = statecodec.AppendString(hdr, clientID)
+	hdr = statecodec.AppendU32(hdr, uint32(len(state)))
+	bufs := net.Buffers{hdr, state}
+	_, err := bufs.WriteTo(w)
+	return hdr, err
 }
 
+// decodeHandoffPut unpacks a push. The state is returned as a subslice
+// of b, not a copy: readRepFrame allocates every payload afresh, so
+// the frame is the state's only owner.
 func decodeHandoffPut(b []byte) (clientID string, seq uint32, state []byte, err error) {
 	r := statecodec.NewReader(b)
 	seq = r.U32()
 	clientID = r.String()
-	state = r.Bytes()
+	state = r.BytesRef()
 	if err = r.Err(); err != nil || r.Remaining() != 0 {
 		return "", 0, nil, fmt.Errorf("%w: malformed handoff put", ErrRepProtocol)
 	}
@@ -259,7 +273,7 @@ func (h *Handoff) fetchFrom(addr, clientID string) ([]byte, uint32, bool) {
 	}
 	r := statecodec.NewReader(payload)
 	seq := r.U32()
-	state := r.Bytes()
+	state := r.BytesRef() // the fresh frame is the state's only owner
 	if r.Err() != nil {
 		return nil, 0, false
 	}
@@ -341,6 +355,7 @@ type shipper struct {
 	order   []string // FIFO of clients with a pending state
 
 	conn net.Conn
+	hdr  []byte // writeHandoffPut's scratch
 }
 
 func newShipper(h *Handoff, addr string) *shipper {
@@ -439,7 +454,8 @@ func (sh *shipper) deliver(clientID string, e handoffEntry) error {
 		sh.conn = conn
 	}
 	_ = sh.conn.SetWriteDeadline(time.Now().Add(sh.h.timeout))
-	if err := writeRepFrame(sh.conn, hoPut, encodeHandoffPut(clientID, e.seq, e.state)); err != nil {
+	var err error
+	if sh.hdr, err = writeHandoffPut(sh.conn, sh.hdr, clientID, e.seq, e.state); err != nil {
 		_ = sh.conn.Close()
 		sh.conn = nil
 		return err

@@ -49,13 +49,7 @@ func (pg Polygon) Contains(p Point) bool {
 	if n < 3 {
 		return false
 	}
-	v0 := pg.Vertices[0]
-	minX, maxX, minY, maxY := v0.X, v0.X, v0.Y, v0.Y
-	for _, v := range pg.Vertices[1:] {
-		minX, maxX = min(minX, v.X), max(maxX, v.X)
-		minY, maxY = min(minY, v.Y), max(maxY, v.Y)
-	}
-	finite := maxX-minX+maxY-minY < math.Inf(1)
+	minX, maxX, minY, maxY, finite := pg.vertexBounds()
 	if finite && (p.X < minX-containsPad || p.X > maxX+containsPad ||
 		p.Y < minY-containsPad || p.Y > maxY+containsPad) {
 		return false
@@ -82,6 +76,35 @@ func (pg Polygon) Contains(p Point) bool {
 		}
 	}
 	return false
+}
+
+// Excludes reports that Contains is false at every point of box, which
+// it is when the box lies wholly beyond the padded bounding box
+// Contains rejects on: every point of the box then fails the same
+// comparison, on the same computed bound, that Contains makes first.
+// A false answer promises nothing. A box with a NaN bound is never
+// excluded (a NaN comparison is false), and a polygon with a NaN or
+// infinite vertex excludes nothing, as it gets no box in Contains.
+func (pg Polygon) Excludes(box Rect) bool {
+	if len(pg.Vertices) < 3 {
+		return true
+	}
+	minX, maxX, minY, maxY, finite := pg.vertexBounds()
+	return finite && (box.Max.X < minX-containsPad || box.Min.X > maxX+containsPad ||
+		box.Max.Y < minY-containsPad || box.Min.Y > maxY+containsPad)
+}
+
+// vertexBounds returns the vertices' bounding box, and whether it is
+// finite (false with a NaN or infinite vertex: builtin min/max carry a
+// NaN into the box). The polygon must have a vertex.
+func (pg Polygon) vertexBounds() (minX, maxX, minY, maxY float64, finite bool) {
+	v0 := pg.Vertices[0]
+	minX, maxX, minY, maxY = v0.X, v0.X, v0.Y, v0.Y
+	for _, v := range pg.Vertices[1:] {
+		minX, maxX = min(minX, v.X), max(maxX, v.X)
+		minY, maxY = min(minY, v.Y), max(maxY, v.Y)
+	}
+	return minX, maxX, minY, maxY, maxX-minX+maxY-minY < math.Inf(1)
 }
 
 // Area returns the unsigned area of the polygon.

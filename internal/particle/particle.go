@@ -50,12 +50,43 @@ func (f *Filter) Reset(center geo.Point, sigma float64) {
 	}
 }
 
-// Propagate moves every particle through the motion function, which
-// maps an old position to a new one (sampling its own per-particle
-// noise).
-func (f *Filter) Propagate(move func(geo.Point) geo.Point) {
+// Propose draws every particle's proposed position from move (which
+// samples its own per-particle noise), in particle order, into the
+// Resample double buffer, and returns the bounding box of every old
+// and proposed position, for a constraint to be built over before
+// Settle. A NaN coordinate makes the box's bounds on that axis NaN.
+func (f *Filter) Propose(move func(geo.Point) geo.Point) geo.Rect {
+	n := len(f.Particles)
+	if cap(f.buf) < n {
+		f.buf = make([]Particle, n)
+	}
+	next := f.buf[:n]
+	var box geo.Rect
+	if n > 0 {
+		box = geo.Rect{Min: f.Particles[0].Pos, Max: f.Particles[0].Pos}
+	}
 	for i := range f.Particles {
-		f.Particles[i].Pos = move(f.Particles[i].Pos)
+		p := f.Particles[i].Pos
+		q := move(p)
+		next[i].Pos = q
+		box.Min.X, box.Max.X = min(box.Min.X, p.X, q.X), max(box.Max.X, p.X, q.X)
+		box.Min.Y, box.Max.Y = min(box.Min.Y, p.Y, q.Y), max(box.Max.Y, p.Y, q.Y)
+	}
+	return box
+}
+
+// Settle ends a Propose: each particle moves to its proposal unless
+// blocked(old, proposed) holds, in which case it stays and its weight
+// is multiplied by 0 (a map-constraint violation kills it).
+func (f *Filter) Settle(blocked func(from, to geo.Point) bool) {
+	next := f.buf[:len(f.Particles)]
+	for i := range f.Particles {
+		p := &f.Particles[i]
+		if blocked(p.Pos, next[i].Pos) {
+			p.W *= 0
+			continue
+		}
+		p.Pos = next[i].Pos
 	}
 }
 
@@ -65,17 +96,6 @@ func (f *Filter) Propagate(move func(geo.Point) geo.Point) {
 func (f *Filter) Weight(likelihood func(geo.Point) float64) {
 	for i := range f.Particles {
 		f.Particles[i].W *= likelihood(f.Particles[i].Pos)
-	}
-}
-
-// PropagateWeighted combines Propagate and Weight in one pass: move
-// each particle from old to new position and scale its weight by the
-// returned likelihood of the move.
-func (f *Filter) PropagateWeighted(step func(geo.Point) (geo.Point, float64)) {
-	for i := range f.Particles {
-		np, l := step(f.Particles[i].Pos)
-		f.Particles[i].Pos = np
-		f.Particles[i].W *= l
 	}
 }
 

@@ -26,7 +26,8 @@ func TestNewInitializesAroundCenter(t *testing.T) {
 func TestPropagateShiftsCloud(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2))
 	f := New(200, geo.Pt(0, 0), 0.5, rnd)
-	f.Propagate(func(p geo.Point) geo.Point { return p.Add(geo.Pt(3, 4)) })
+	f.Propose(func(p geo.Point) geo.Point { return p.Add(geo.Pt(3, 4)) })
+	f.Settle(func(_, _ geo.Point) bool { return false })
 	est := f.Estimate()
 	if est.Dist(geo.Pt(3, 4)) > 0.3 {
 		t.Errorf("estimate %v, want near (3,4)", est)
@@ -126,17 +127,32 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestPropagateWeighted(t *testing.T) {
+func TestProposeSettle(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	f := New(400, geo.Pt(0, 0), 1, rnd)
-	// Move right; kill anything ending up above y=0.
-	f.PropagateWeighted(func(p geo.Point) (geo.Point, float64) {
-		np := p.Add(geo.Pt(2, 0))
-		if np.Y > 0 {
-			return np, 0
+	old := append([]Particle(nil), f.Particles...)
+	// Move right; block anything that would end up above y=0.
+	box := f.Propose(func(p geo.Point) geo.Point { return p.Add(geo.Pt(2, 0)) })
+	for _, p := range old {
+		for _, q := range []geo.Point{p.Pos, p.Pos.Add(geo.Pt(2, 0))} {
+			if !box.Contains(q) {
+				t.Fatalf("box %v misses %v", box, q)
+			}
 		}
-		return np, 1
-	})
+	}
+	if box.Min.X != minOf(old, func(p Particle) float64 { return p.Pos.X }) {
+		t.Errorf("box %v is not tight", box)
+	}
+	f.Settle(func(a, b geo.Point) bool { return b.Y > 0 })
+	for i, p := range f.Particles {
+		moved := old[i].Pos.Add(geo.Pt(2, 0))
+		switch {
+		case moved.Y > 0 && (p.Pos != old[i].Pos || p.W != 0):
+			t.Fatalf("blocked particle %d: %v, want %v with weight 0", i, p, old[i].Pos)
+		case moved.Y <= 0 && (p.Pos != moved || p.W != old[i].W):
+			t.Fatalf("free particle %d: %v, want %v with weight %v", i, p, moved, old[i].W)
+		}
+	}
 	if !f.Normalize() {
 		t.Fatal("normalize")
 	}
@@ -147,6 +163,31 @@ func TestPropagateWeighted(t *testing.T) {
 	if est.X < 1 {
 		t.Errorf("estimate %v should have moved right", est)
 	}
+}
+
+// TestProposeBoxNaN: a NaN proposal makes the box NaN on its axis, so
+// a constraint built over it excludes nothing there.
+func TestProposeBoxNaN(t *testing.T) {
+	f := New(10, geo.Pt(0, 0), 1, rand.New(rand.NewSource(4)))
+	i := 0
+	box := f.Propose(func(p geo.Point) geo.Point {
+		i++
+		if i == 5 {
+			return geo.Pt(math.NaN(), p.Y)
+		}
+		return p
+	})
+	if !math.IsNaN(box.Min.X) || !math.IsNaN(box.Max.X) || math.IsNaN(box.Min.Y) || math.IsNaN(box.Max.Y) {
+		t.Fatalf("box %v, want NaN x bounds and finite y bounds", box)
+	}
+}
+
+func minOf(ps []Particle, key func(Particle) float64) float64 {
+	m := math.Inf(1)
+	for _, p := range ps {
+		m = math.Min(m, key(p))
+	}
+	return m
 }
 
 func TestEstimateEmptyWeights(t *testing.T) {

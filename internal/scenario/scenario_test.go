@@ -37,7 +37,9 @@ func TestPathsWalkable(t *testing.T) {
 				if !p.World.Walkable(pt) {
 					t.Fatalf("%s/%s: unwalkable at %.1f m: %v", p.Name, path.Name, d, pt)
 				}
-				if !first && p.World.WallsCrossed(prev, pt) > 0 {
+				var near world.Constraint
+				near.Near(p.World, geo.NewRect(prev, pt))
+				if !first && near.Blocks(prev, pt) {
 					t.Fatalf("%s/%s: wall crossed at %.1f m (%v → %v)", p.Name, path.Name, d, prev, pt)
 				}
 				prev, first = pt, false

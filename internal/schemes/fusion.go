@@ -60,6 +60,7 @@ type Fusion struct {
 	src *prng.Source // counting source under rnd; nil = unsnapshotable
 
 	filter       *particle.Filter
+	near         world.Constraint // stepCloud's scratch
 	lastEst      geo.Point
 	distLandmark float64
 	headings     []float64
@@ -203,18 +204,7 @@ func (f *Fusion) propagate(snap *sensing.Snapshot) {
 	if len(f.headings) > headingWindow {
 		f.headings = f.headings[1:]
 	}
-	f.filter.PropagateWeighted(func(pos geo.Point) (geo.Point, float64) {
-		h := step.HeadingR + f.rnd.NormFloat64()*f.cfg.PDR.HeadingSigma
-		l := step.LengthM * (1 + f.rnd.NormFloat64()*f.cfg.PDR.StepLenSigma)
-		if l < 0 {
-			l = 0
-		}
-		next := pos.Add(geo.FromHeading(h).Scale(l))
-		if f.w.BlocksMotion(pos, next) {
-			return pos, 0
-		}
-		return next, 1
-	})
+	stepCloud(f.filter, &f.near, f.w, f.rnd, f.cfg.PDR, step)
 }
 
 // weightByRSSI multiplies each particle's weight by the likelihood of

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/geo"
+	"repro/internal/imu"
 	"repro/internal/particle"
 	"repro/internal/prng"
 	"repro/internal/sensing"
@@ -50,6 +51,7 @@ type PDR struct {
 	src *prng.Source // counting source under rnd; nil = unsnapshotable
 
 	filter       *particle.Filter
+	near         world.Constraint // stepCloud's scratch
 	lastEst      geo.Point
 	haveEst      bool
 	distLandmark float64
@@ -134,18 +136,26 @@ func (p *PDR) propagate(snap *sensing.Snapshot) {
 	if step.FalseStep {
 		p.repaired++
 	}
-	p.filter.PropagateWeighted(func(pos geo.Point) (geo.Point, float64) {
-		h := step.HeadingR + p.rnd.NormFloat64()*p.cfg.HeadingSigma
-		l := step.LengthM * (1 + p.rnd.NormFloat64()*p.cfg.StepLenSigma)
+	stepCloud(p.filter, &p.near, p.w, p.rnd, p.cfg, step)
+}
+
+// stepCloud moves a particle cloud by one measured step under the map
+// constraint, in two passes. Every particle first draws its own
+// heading and step-length noise, in particle order; then every move is
+// checked against the regions and walls near the cloud's box, which
+// near holds between calls as scratch. A blocked particle stays put
+// with zero weight. PDR and fusion share it.
+func stepCloud(f *particle.Filter, near *world.Constraint, w *world.World, rnd *rand.Rand, cfg PDRConfig, step *imu.StepEvent) {
+	box := f.Propose(func(pos geo.Point) geo.Point {
+		h := step.HeadingR + rnd.NormFloat64()*cfg.HeadingSigma
+		l := step.LengthM * (1 + rnd.NormFloat64()*cfg.StepLenSigma)
 		if l < 0 {
 			l = 0
 		}
-		next := pos.Add(geo.FromHeading(h).Scale(l))
-		if p.w.BlocksMotion(pos, next) {
-			return pos, 0
-		}
-		return next, 1
+		return pos.Add(geo.FromHeading(h).Scale(l))
 	})
+	near.Near(w, box)
+	f.Settle(near.Blocks)
 }
 
 // features evaluates the motion scheme's data features at the current

@@ -92,31 +92,33 @@ func (f *Fingerprinting) SetCalibrator(c *Calibrator) { f.calibrator = c }
 // restores local computation.
 func (f *Fingerprinting) SetDistCache(c *fingerprint.DistCache) { f.distCache = c }
 
-// SetSharedCompute implements SharedComputeUser: tracker rebuilds
-// adopt the pinned snapshot's shared positions slice instead of
-// copying the map's points per session. Nil restores private rebuilds;
-// tracker behavior is identical either way (belief state is always
-// private).
+// SetSharedCompute implements SharedComputeUser: tracker rebuilds over
+// a pinned snapshot are counted in the cache's Trackers statistic. Nil
+// stops the counting; tracker behavior is identical either way.
 func (f *Fingerprinting) SetSharedCompute(c *sharedcompute.Cache) { f.shared = c }
 
 // Name implements Scheme.
 func (f *Fingerprinting) Name() string { return f.name }
 
-// rebuildTracker recreates the HMM over the view's positions, sharing
-// the snapshot's transition kernel when the map carries a spatial
-// index. When the view is a snapshot with a retained shared-compute
-// entry, the tracker adopts the entry's immutable positions slice (one
-// materialization per compaction instead of one copy per session);
-// otherwise it copies them. The tracker itself behaves identically
-// either way.
+// positionsKey memoizes a map snapshot's state positions on it.
+type positionsKey struct{}
+
+// rebuildTracker recreates the HMM over the view's positions. Over a
+// map snapshot (an hmm.KernelSource) the tracker adopts the positions
+// the snapshot memoizes, materialized once per snapshot and shared by
+// every session's tracker, and shares the snapshot's transition
+// kernel; over a plain database it copies them. The tracker itself
+// behaves identically either way.
 func (f *Fingerprinting) rebuildTracker(view fingerprint.Reader) {
-	if e := f.shared.Get(view); e != nil {
-		f.tracker = hmm.NewShared(e.Positions())
+	if src, ok := view.(hmm.KernelSource); ok {
+		pos := src.Memo(positionsKey{}, func() any { return view.Positions() }).([]geo.Point)
+		f.tracker = hmm.NewShared(pos)
+		f.tracker.ShareKernel(src)
 	} else {
 		f.tracker = hmm.New(view.Positions())
 	}
-	if src, ok := view.(hmm.KernelSource); ok {
-		f.tracker.ShareKernel(src)
+	if e := f.shared.Get(view); e != nil {
+		e.CountTracker()
 	}
 	f.trackerVer = view.Version()
 }

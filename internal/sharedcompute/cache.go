@@ -10,10 +10,6 @@
 //   - per-(scale, observation) RSSI likelihood rows — the canonical
 //     per-cell values Fusion.weightByRSSI memoizes, computed once and
 //     shared (LikRow);
-//   - the snapshot's state positions, so trackers rebuild by adopting
-//     a shared immutable slice instead of copying it (Positions; the
-//     HMM transition kernel lives on the snapshot itself, see
-//     mapstore.Snapshot.Memo);
 //   - per-cell representative fingerprint indices, resolving each
 //     likelihood-grid cell's nearest fingerprint once (RepVec).
 //
@@ -75,8 +71,8 @@ type Stats struct {
 	// RowsWarmed counts likelihood rows seeded by the batch
 	// scheduler's fused kernel ahead of session stepping.
 	RowsWarmed int64
-	// Trackers counts HMM tracker rebuilds served from shared
-	// positions/neighbor state.
+	// Trackers counts HMM tracker rebuilds over pinned snapshots,
+	// which adopt the snapshot's memoized positions and kernel.
 	Trackers int64
 	// Built / Evicted count entry lifecycle events; Resident is the
 	// number of entries currently pinned.

@@ -354,7 +354,7 @@ func TestConcurrentSwapHammer(t *testing.T) {
 					}
 					row.Publish(cell, v)
 				}
-				_ = e.Positions()
+				e.CountTracker()
 			}
 		}(g)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/geo"
 	"repro/internal/mapstore"
 	"repro/internal/rf"
 )
@@ -21,9 +20,6 @@ type Entry struct {
 	refs  int // guarded by cache.mu
 	cellM float64
 
-	posOnce sync.Once
-	pos     []geo.Point
-
 	repMu sync.RWMutex
 	reps  map[Cell]int32 // cell → representative fingerprint index (-1: none)
 
@@ -38,14 +34,12 @@ func (e *Entry) Snapshot() *mapstore.Snapshot { return e.snap }
 // snapshot).
 func (e *Entry) CellM() float64 { return e.cellM }
 
-// Positions returns the snapshot's state positions, materialized once
-// and shared by every session's HMM tracker. The slice is immutable by
-// contract: hand it to hmm.NewShared, never mutate it.
-func (e *Entry) Positions() []geo.Point {
-	e.posOnce.Do(func() { e.pos = e.snap.Positions() })
+// CountTracker records one HMM tracker rebuild over this entry's
+// snapshot: the tracker adopts the positions the snapshot memoizes
+// instead of copying them (see schemes.Fingerprinting).
+func (e *Entry) CountTracker() {
 	e.cache.trackers.Add(1)
 	e.cache.metTrackers.Inc()
-	return e.pos
 }
 
 // RepVec returns the vector of the cell's representative fingerprint —

@@ -151,6 +151,17 @@ func (r *Reader) Bytes() []byte {
 	return append([]byte(nil), b...)
 }
 
+// BytesRef reads a uint32-prefixed byte slice like Bytes, but returns
+// it as a subslice of the reader's buffer instead of a copy. Use it
+// only when the caller owns that buffer and never reuses it.
+func (r *Reader) BytesRef() []byte {
+	n := int(r.U32())
+	if r.err != nil {
+		return nil
+	}
+	return r.take(n)
+}
+
 // String reads a uint32-prefixed string.
 func (r *Reader) String() string {
 	n := int(r.U32())

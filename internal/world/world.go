@@ -208,20 +208,6 @@ func (w *World) SkyOpennessAt(p geo.Point) float64 {
 	return 1
 }
 
-// WallsCrossed counts how many walls the straight segment a→b crosses,
-// which the RF model turns into attenuation and the particle filter
-// into a motion constraint.
-func (w *World) WallsCrossed(a, b geo.Point) int {
-	seg := geo.Seg(a, b)
-	n := 0
-	for _, wall := range w.Walls {
-		if seg.Intersects(wall.Seg) {
-			n++
-		}
-	}
-	return n
-}
-
 // WallAttenuationDB sums the attenuation of every wall crossed by the
 // segment a→b.
 func (w *World) WallAttenuationDB(a, b geo.Point) float64 {
@@ -246,14 +232,67 @@ func (w *World) PenetrationAt(p geo.Point) float64 {
 	return 0
 }
 
-// BlocksMotion reports whether moving from a to b crosses a wall or
-// leaves the walkable area, i.e. whether the map constraint rejects the
-// move.
-func (w *World) BlocksMotion(a, b geo.Point) bool {
-	if !w.Walkable(b) {
+// Constraint is the map constraint on motion: a move is blocked when
+// it ends outside every walkable region or crosses a wall. Near
+// restricts it to the regions and walls that can decide a move inside
+// one box, so a particle filter that builds it once per propagate from
+// its cloud tests each move against a few candidates instead of the
+// whole world. The zero value is ready for Near; its lists are reused.
+type Constraint struct {
+	regions []geo.Polygon // regions whose Contains may hold in the box, in world order
+	walls   []geo.Segment // walls a move inside the box may cross, in world order
+}
+
+// Near sets c to w's constraint for moves whose endpoints both lie in
+// box. Both exclusions are exact, so for every such move Blocks answers
+// what testing against every region and wall of w answers:
+//   - A region is dropped when geo.Polygon.Excludes the box: Contains
+//     is then false at every point of it.
+//   - A wall with A.Y == B.Y == c is dropped when c lies outside the
+//     box's y-range: both ends of the move lie strictly on one side of
+//     c, so geo.Segment.Intersects is false (DESIGN.md §18). Likewise
+//     for A.X == B.X on x. Oblique walls are always kept.
+//
+// A NaN bound in box fails every comparison and drops nothing.
+func (c *Constraint) Near(w *World, box geo.Rect) {
+	c.regions = c.regions[:0]
+	for i := range w.Regions {
+		if pg := w.Regions[i].Poly; !pg.Excludes(box) {
+			c.regions = append(c.regions, pg)
+		}
+	}
+	c.walls = c.walls[:0]
+	for _, wall := range w.Walls {
+		a, b := wall.Seg.A, wall.Seg.B
+		if a.Y == b.Y && (a.Y < box.Min.Y || a.Y > box.Max.Y) ||
+			a.X == b.X && (a.X < box.Min.X || a.X > box.Max.X) {
+			continue
+		}
+		c.walls = append(c.walls, wall.Seg)
+	}
+}
+
+// Blocks reports whether moving from a to b crosses a wall or leaves
+// the walkable area, i.e. whether the map constraint rejects the move.
+// a and b must lie in the box of the last Near.
+func (c *Constraint) Blocks(a, b geo.Point) bool {
+	walkable := false
+	for i := range c.regions {
+		if c.regions[i].Contains(b) {
+			walkable = true
+			break
+		}
+	}
+	if !walkable {
 		return true
 	}
-	return w.WallsCrossed(a, b) > 0
+	seg := geo.Seg(a, b)
+	for _, wall := range c.walls {
+		if seg.Intersects(wall) {
+			return true
+		}
+	}
+	return false
 }
 
 // LandmarkNear returns the first landmark whose detection radius covers

@@ -130,17 +130,25 @@ func TestWallsCrossedAndAttenuation(t *testing.T) {
 
 func TestBlocksMotion(t *testing.T) {
 	w := testWorld()
-	if !w.BlocksMotion(geo.Pt(5, 2), geo.Pt(15, 2)) {
-		t.Error("wall should block")
+	cases := []struct {
+		a, b    geo.Point
+		blocked bool
+		why     string
+	}{
+		{geo.Pt(5, 2), geo.Pt(15, 2), true, "wall should block"},
+		{geo.Pt(5, 5), geo.Pt(9, 5), false, "open move should not block"},
+		{geo.Pt(5, 5), geo.Pt(5, 50), true, "leaving walkable should block"},
+		{geo.Pt(9, 5), geo.Pt(11, 5), false, "moving through the door should not block"},
 	}
-	if w.BlocksMotion(geo.Pt(5, 5), geo.Pt(9, 5)) {
-		t.Error("open move should not block")
-	}
-	if !w.BlocksMotion(geo.Pt(5, 5), geo.Pt(5, 50)) {
-		t.Error("leaving walkable should block")
-	}
-	if w.BlocksMotion(geo.Pt(9, 5), geo.Pt(11, 5)) {
-		t.Error("moving through the door should not block")
+	for _, tc := range cases {
+		if w.BlocksMotion(tc.a, tc.b) != tc.blocked {
+			t.Errorf("reference: %s", tc.why)
+		}
+		var c Constraint
+		c.Near(w, geo.NewRect(tc.a, tc.b))
+		if c.Blocks(tc.a, tc.b) != tc.blocked {
+			t.Errorf("constraint: %s", tc.why)
+		}
 	}
 }
 
