@@ -132,9 +132,8 @@ func BenchmarkFrameworkStep(b *testing.B) { benchFrameworkStep(b) }
 
 // BenchmarkFrameworkStepSharedMap is BenchmarkFrameworkStep over shared
 // mapstore stores, the way every server session reads the radio maps:
-// the fingerprinting trackers walk the snapshot's HMM transition
-// kernel instead of the private database's full O(N²) scan, which the
-// serving path never takes.
+// the fingerprinting trackers share the snapshot's HMM transition
+// kernel instead of each building its own over a private database.
 func BenchmarkFrameworkStepSharedMap(b *testing.B) {
 	campus := getSuite(b).Lab.Campus()
 	wifi := mapstore.New(campus.WiFiDB, mapstore.Config{Name: "wifi"})

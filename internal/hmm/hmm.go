@@ -41,9 +41,11 @@ type Tracker struct {
 	// means flatter emissions.
 	EmissionScale float64
 
-	// kern, when set, holds the transition radius's neighbour pairs
-	// with their distances and step Gaussians, letting Update skip the
-	// full O(N²) scan and its per-pair Hypot and Exp. See setKernel.
+	// kern holds the transition radius's neighbour pairs with their
+	// distances and step Gaussians, so Update visits only the pairs the
+	// transition model can reach. ShareKernel installs a map snapshot's;
+	// otherwise (New, or a MaxStepM changed since install) the tracker
+	// builds its own. See Update.
 	kern *kernel
 	// next is Update's output buffer, swapped with belief after every
 	// update so steady-state tracking allocates nothing.
@@ -51,21 +53,21 @@ type Tracker struct {
 }
 
 // kernel is the belief-independent part of the transition model over
-// one state set: for every state j, the states i within the transition
-// radius, ascending, with their distance d = states[i].Dist(states[j])
-// and step Gaussian exp(-d²/2σ²), σ = MaxStepM. It depends only on the
-// states and MaxStepM, so a map snapshot builds one and every tracker
-// over that snapshot shares it read-only (see ShareKernel).
+// one state set: for every state i, the states j the transition model
+// can reach from it, !(d > 3σ) with d = states[j].Dist(states[i]) and
+// σ = MaxStepM (self included), with d and the step Gaussian
+// exp(-d²/2σ²). It depends only on the states and MaxStepM, so a map
+// snapshot builds one and every tracker over that snapshot shares it
+// read-only (see ShareKernel); a tracker over anything else builds its
+// own (ownKernel).
 //
-// Update over a kernel is bit-identical to the full scan:
-//   - The rows list the pairs the scan does not skip (d ≤ 3σ), in the
-//     scan's order, so the same terms are summed in the same order.
-//   - d and the Gaussian are the scan's own expressions evaluated once
-//     on the same operands, so they round to the same bits.
-//   - The second-order term needs the move's length |sj−si|, which the
-//     scan computes as a separate Norm. It is d bit for bit: Hypot
-//     takes absolute values first, and a−b = −(b−a) exactly in IEEE
-//     arithmetic, so both calls see the same operands.
+// d and the Gaussian are the transition model's own expressions,
+// evaluated once per pair on the same operands as a per-update scan, so
+// they round to the same bits. The second-order term needs the move's
+// length |sj−si|, which a scan computes as a separate Norm; it is d bit
+// for bit, since Hypot takes absolute values first and a−b = −(b−a)
+// exactly in IEEE arithmetic. For the same reason the pair rule is
+// symmetric: j is in row i exactly when i is in row j, with the same d.
 //
 // Surveyed maps sit on a few grid spacings, so their pairs share few
 // distinct distances. Each pair stores an index into a table of
@@ -76,29 +78,28 @@ type Tracker struct {
 // would add 16 and lift every node's heap.
 type kernel struct {
 	maxStepM float64
-	rows     [][]int32 // rows[j]: the neighbour list of state j
-	off      []int32   // row j's pair indices start at step[off[j]]
+	rows     [][]int32 // rows[i]: the neighbour list of state i
+	off      []int32   // row i's pair indices start at step[off[i]]
 	step     []int32   // per pair: index into dist and gauss
 	dist     []float64 // distinct step lengths
 	gauss    []float64 // stepGauss of each distinct length
 }
 
 // newKernel builds the transition kernel for states from neighbour
-// lists: lists[j] holds, in ascending order, every state index i with
-// states[i].Dist(states[j]) <= 3*maxStepM, self included (what
+// lists: lists[i] holds every state index j with
+// !(states[j].Dist(states[i]) > 3*maxStepM), self included (what
 // mapstore.Snapshot.NeighborLists returns for that radius). The kernel
 // keeps lists, which must not change afterwards. Lists of the wrong
-// length, or listing a pair beyond the radius, yield nil: the tracker
-// then takes the full scan.
+// length, or listing a pair beyond the radius, yield nil.
 func newKernel(states []geo.Point, lists [][]int32, maxStepM float64) *kernel {
 	if len(lists) != len(states) {
 		return nil
 	}
 	k := &kernel{maxStepM: maxStepM, rows: lists, off: make([]int32, 1, len(states)+1)}
 	ids := make(map[uint64]int32)
-	for j, sj := range states {
-		for _, i := range lists[j] {
-			d := states[i].Dist(sj)
+	for i, si := range states {
+		for _, j := range lists[i] {
+			d := states[j].Dist(si)
 			if d > maxStepM*3 {
 				return nil
 			}
@@ -116,6 +117,26 @@ func newKernel(states []geo.Point, lists [][]int32, maxStepM float64) *kernel {
 	return k
 }
 
+// ownKernel builds a kernel over states from the pair rule itself,
+// testing every pair once: O(N²) at construction, where a transition
+// scan without a kernel would pay it on every update.
+func ownKernel(states []geo.Point, maxStepM float64) *kernel {
+	lists := make([][]int32, len(states))
+	for j, sj := range states {
+		for i, si := range states[:j+1] {
+			if !(si.Dist(sj) > maxStepM*3) {
+				// Pairs arrive with j ascending and, for each j, i
+				// ascending up to j, so every list stays ascending.
+				lists[j] = append(lists[j], int32(i))
+				if i != j {
+					lists[i] = append(lists[i], int32(j))
+				}
+			}
+		}
+	}
+	return newKernel(states, lists, maxStepM)
+}
+
 // KernelSource is a map revision that can hand out neighbour lists and
 // memoize values derived from it; mapstore.Snapshot implements it.
 type KernelSource interface {
@@ -128,11 +149,11 @@ type kernelKey uint64
 
 // ShareKernel installs the transition kernel src memoizes for this
 // tracker's MaxStepM, building it on first use from src's neighbour
-// lists at TransitionRadiusM. Update then walks only the kernel's
-// pairs, bit-identically to the full scan. src must be the map
-// revision whose positions are this tracker's states, so every tracker
-// over it shares one kernel. Changing MaxStepM afterwards restores the
-// full scan.
+// lists at TransitionRadiusM, in place of the tracker's own. src must
+// be the map revision whose positions are this tracker's states, so
+// every tracker over it shares one kernel. Lists src gets wrong (of
+// the wrong length, or past the radius) leave the tracker to build its
+// own, as does changing MaxStepM afterwards.
 func (t *Tracker) ShareKernel(src KernelSource) {
 	maxStep := t.MaxStepM
 	k := src.Memo(kernelKey(math.Float64bits(maxStep)), func() any {
@@ -141,16 +162,21 @@ func (t *Tracker) ShareKernel(src KernelSource) {
 	t.setKernel(k)
 }
 
-// New creates a tracker over the given candidate locations. The slice
-// is copied, so the caller may reuse it.
+// New creates a tracker over the given candidate locations, with its
+// own transition kernel. The slice is copied, so the caller may reuse
+// it.
 func New(states []geo.Point) *Tracker {
-	return NewShared(append([]geo.Point(nil), states...))
+	t := NewShared(append([]geo.Point(nil), states...))
+	t.setKernel(nil)
+	return t
 }
 
 // NewShared creates a tracker that adopts states without copying. The
 // caller guarantees the slice is never mutated afterwards — e.g. the
-// positions slice a sharedcompute entry materializes once per map
-// snapshot and hands to every session's tracker. All mutable filter
+// positions a map snapshot memoizes once (schemes keeps them in
+// Snapshot.Memo) and hands to every session's tracker, which then
+// shares the snapshot's kernel through ShareKernel; without one, the
+// tracker builds its own at its first transition. All mutable filter
 // state (belief, previous position) stays private per tracker, so
 // trackers sharing one states slice are fully independent.
 func NewShared(states []geo.Point) *Tracker {
@@ -178,11 +204,11 @@ func (t *Tracker) Len() int { return len(t.states) }
 func (t *Tracker) TransitionRadiusM() float64 { return t.MaxStepM * 3 }
 
 // setKernel installs a transition kernel built over this tracker's
-// states. Passing nil, or a kernel of the wrong length, restores the
-// full scan.
+// states for its MaxStepM. Passing nil, or a kernel of the wrong
+// length, installs the tracker's own.
 func (t *Tracker) setKernel(k *kernel) {
-	if k != nil && len(k.off) != len(t.states)+1 {
-		k = nil
+	if k == nil || len(k.off) != len(t.states)+1 {
+		k = ownKernel(t.states, t.MaxStepM)
 	}
 	t.kern = k
 }
@@ -209,6 +235,27 @@ func (t *Tracker) secondOrder(g float64, si, sj geo.Point, d float64, dir geo.Po
 // Update folds in one observation given as the RSSI distance from the
 // online scan to each state's fingerprint, and returns the predicted
 // location (the belief-weighted mean).
+//
+// The transition mass of state j is the sum, over ascending states i
+// with belief[i] > 1e-12 (NaN included: only a belief ≤ 1e-12 is
+// dropped) and within reach of j, of belief[i]·secondOrder(i→j). Update
+// pushes it from the live sources: each adds its term to every state in
+// its kernel row. That equals the dense pull, where every target j sums
+// over every source i (the tests' reference), bit for bit:
+//   - Symmetric rows: j is in row i exactly when i is in row j, with
+//     the same d (see kernel), so each target gets the pull's terms.
+//   - Same order: sources are visited in ascending order, so each
+//     target adds its terms in the pull's order, starting from +0.
+//   - Zeros change nothing: a target no source reaches keeps the pull's
+//     empty sum, +0. Its emission Exp is skipped only where
+//     trans·emit = trans is certain: emit = exp(-d/s) lies in [0, 1]
+//     when d ≥ 0 (not NaN) and s = EmissionScale is finite and > 0.
+//     Any other distance or scale takes the Exp and the product.
+//   - Full paths: the first, uniform update and the degenerate
+//     emission-only reset compute every emission.
+//
+// The sources are read from belief at each update, so RestoreState and
+// a snapshot swap need no other state.
 func (t *Tracker) Update(rssiDists []float64) geo.Point {
 	if len(rssiDists) != len(t.states) || len(t.states) == 0 {
 		return t.cur
@@ -217,39 +264,19 @@ func (t *Tracker) Update(rssiDists []float64) geo.Point {
 		t.next = make([]float64, len(t.states))
 	}
 	next := t.next
-	k := t.kern
-	if k != nil && k.maxStepM != t.MaxStepM {
-		k = nil
-	}
-	dir := t.cur.Sub(t.prev)
-	dirNorm := dir.Norm()
-	for j, sj := range t.states {
-		var trans float64
-		if !t.init {
-			trans = 1
-		} else if k != nil {
-			steps := k.step[k.off[j]:k.off[j+1]]
-			for x, i := range k.rows[j] {
-				if t.belief[i] <= 1e-12 {
-					continue
-				}
-				e := steps[x]
-				trans += t.belief[i] * t.secondOrder(k.gauss[e], t.states[i], sj, k.dist[e], dir, dirNorm)
-			}
-		} else {
-			for i, si := range t.states {
-				if t.belief[i] <= 1e-12 {
-					continue
-				}
-				d := si.Dist(sj)
-				if d > t.MaxStepM*3 {
-					continue
-				}
-				trans += t.belief[i] * t.secondOrder(stepGauss(d, t.MaxStepM), si, sj, d, dir, dirNorm)
-			}
+	if t.init {
+		t.transition(next)
+	} else {
+		for j := range next {
+			next[j] = 1
 		}
-		emit := math.Exp(-rssiDists[j] / t.EmissionScale)
-		next[j] = trans * emit
+	}
+	scaleOK := t.EmissionScale > 0 && t.EmissionScale <= math.MaxFloat64
+	for j, trans := range next {
+		if trans == 0 && scaleOK && rssiDists[j] >= 0 {
+			continue // trans·emit = trans
+		}
+		next[j] = trans * math.Exp(-rssiDists[j]/t.EmissionScale)
 	}
 	var total float64
 	for _, v := range next {
@@ -280,6 +307,31 @@ func (t *Tracker) Update(rssiDists []float64) geo.Point {
 	t.prev, t.cur = t.cur, est
 	t.init = true
 	return est
+}
+
+// transition overwrites next with the transition mass every state
+// receives from the current belief, pushed from the live sources along
+// the kernel's rows (see Update). A kernel built for another MaxStepM
+// is replaced by the tracker's own first.
+func (t *Tracker) transition(next []float64) {
+	if t.kern == nil || math.Float64bits(t.kern.maxStepM) != math.Float64bits(t.MaxStepM) {
+		t.setKernel(nil)
+	}
+	k := t.kern
+	clear(next)
+	dir := t.cur.Sub(t.prev)
+	dirNorm := dir.Norm()
+	for i, b := range t.belief {
+		if b <= 1e-12 {
+			continue
+		}
+		si := t.states[i]
+		steps := k.step[k.off[i]:k.off[i+1]]
+		for x, j := range k.rows[i] {
+			e := steps[x]
+			next[j] += b * t.secondOrder(k.gauss[e], si, t.states[j], k.dist[e], dir, dirNorm)
+		}
+	}
 }
 
 // Predicted returns the current predicted location (zero before the

@@ -2,6 +2,7 @@ package hmm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -155,28 +156,33 @@ func neighborListsFor(states []geo.Point, maxD float64) [][]int32 {
 	return out
 }
 
-// TestTrackerNeighborListsEquivalent verifies the transition kernel
-// built from neighbor lists is bit-identical to the full scan over a
-// long tracked walk.
+// matchDense fails the test unless tr's estimate and belief equal the
+// dense reference's Float64bits-exactly.
+func matchDense(t *testing.T, step int, tr *Tracker, got geo.Point, ref *DenseTracker, want geo.Point) {
+	t.Helper()
+	if math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+		t.Fatalf("step %d: estimate %v, dense reference %v", step, got, want)
+	}
+	for i := range tr.belief {
+		if math.Float64bits(tr.belief[i]) != math.Float64bits(ref.Belief[i]) {
+			t.Fatalf("step %d: belief[%d] = %v, dense reference %v", step, i, tr.belief[i], ref.Belief[i])
+		}
+	}
+}
+
+// TestTrackerNeighborListsEquivalent verifies the update over a kernel
+// built from neighbor lists is bit-identical to the dense reference
+// over a long tracked walk.
 func TestTrackerNeighborListsEquivalent(t *testing.T) {
 	states := gridStates(12)
-	full := New(states)
-	fast := New(states)
+	ref := NewDense(states)
+	fast := NewShared(states)
 	fast.setKernel(newKernel(states, neighborListsFor(states, fast.TransitionRadiusM()), fast.MaxStepM))
 
 	for step := 0; step < 30; step++ {
 		truth := geo.Pt(float64(step)*1.2, float64(step)*0.7)
 		dists := distsFor(states, truth)
-		a := full.Update(dists)
-		b := fast.Update(dists)
-		if a != b {
-			t.Fatalf("step %d: estimates diverged: %v != %v", step, a, b)
-		}
-		for i := range full.belief {
-			if full.belief[i] != fast.belief[i] {
-				t.Fatalf("step %d: belief[%d] diverged: %v != %v", step, i, full.belief[i], fast.belief[i])
-			}
-		}
+		matchDense(t, step, fast, fast.Update(dists), ref, ref.Update(dists))
 	}
 }
 
@@ -190,37 +196,53 @@ func TestTrackerSetKernelValidation(t *testing.T) {
 	if newKernel(states, neighborListsFor(states, 100), tr.MaxStepM) != nil {
 		t.Fatal("kernel built from lists reaching past the transition radius")
 	}
+	listed := newKernel(states, lists, tr.MaxStepM)
 	tr.setKernel(newKernel(states[:3], neighborListsFor(states[:3], 18), tr.MaxStepM)) // wrong length: ignored
-	if tr.kern != nil {
+	if tr.kern == nil || len(tr.kern.off) != len(states)+1 {
 		t.Fatal("mismatched kernel was installed")
 	}
-	tr.setKernel(newKernel(states, lists, tr.MaxStepM))
-	if tr.kern == nil {
+	tr.setKernel(listed)
+	if tr.kern != listed {
 		t.Fatal("valid kernel rejected")
 	}
 	tr.setKernel(nil)
-	if tr.kern != nil {
-		t.Fatal("nil did not restore the full scan")
+	if tr.kern == nil || tr.kern == listed {
+		t.Fatal("nil did not install the tracker's own kernel")
+	}
+	// The tracker's own kernel lists exactly the pairs the neighbour
+	// lists do, and tracks like the dense reference.
+	for i := range lists {
+		if !slices.Equal(tr.kern.rows[i], lists[i]) {
+			t.Fatalf("own kernel row %d = %v, neighbour list %v", i, tr.kern.rows[i], lists[i])
+		}
+	}
+	ref := NewDense(states)
+	for step := 0; step < 12; step++ {
+		dists := distsFor(states, geo.Pt(float64(step)*1.5, 0))
+		matchDense(t, step, tr, tr.Update(dists), ref, ref.Update(dists))
 	}
 }
 
-// TestTrackerKernelIgnoredAfterMaxStepChange pins the fallback: a
-// kernel's Gaussians are only valid for the MaxStepM it was built
-// with, so changing MaxStepM afterwards must give the full scan's
-// answer, not a stale kernel's.
+// TestTrackerKernelIgnoredAfterMaxStepChange pins the rebuild: a
+// kernel's pairs and Gaussians are only valid for the MaxStepM it was
+// built with, so changing MaxStepM afterwards must replace it with the
+// tracker's own for the new step and give the dense reference's answer,
+// not a stale kernel's.
 func TestTrackerKernelIgnoredAfterMaxStepChange(t *testing.T) {
 	states := gridStates(8)
-	full, fast := New(states), New(states)
-	fast.setKernel(newKernel(states, neighborListsFor(states, fast.TransitionRadiusM()), fast.MaxStepM))
-	if fast.kern == nil {
+	ref, fast := NewDense(states), NewShared(states)
+	shared := newKernel(states, neighborListsFor(states, fast.TransitionRadiusM()), fast.MaxStepM)
+	fast.setKernel(shared)
+	if fast.kern != shared {
 		t.Fatal("kernel not installed")
 	}
-	full.MaxStepM, fast.MaxStepM = 4, 4
+	ref.MaxStepM, fast.MaxStepM = 4, 4
 	for step := 0; step < 10; step++ {
 		dists := distsFor(states, geo.Pt(float64(step)*1.5, 6))
-		if a, b := full.Update(dists), fast.Update(dists); a != b {
-			t.Fatalf("step %d: %v != %v", step, a, b)
-		}
+		matchDense(t, step, fast, fast.Update(dists), ref, ref.Update(dists))
+	}
+	if fast.kern == shared || fast.kern.maxStepM != 4 {
+		t.Fatal("the kernel was not rebuilt for the new MaxStepM")
 	}
 }
 
@@ -261,14 +283,35 @@ func TestShareKernelBuildsOncePerMaxStep(t *testing.T) {
 }
 
 // TestTrackerUpdateAllocs guards the double-buffered belief: once the
-// first update has sized the buffers, tracking allocates nothing.
+// first update has sized the buffers, tracking allocates nothing, with
+// a shared kernel, with the tracker's own (New), and right after a
+// RestoreState.
 func TestTrackerUpdateAllocs(t *testing.T) {
 	states := gridStates(12)
-	tr := New(states)
-	tr.setKernel(newKernel(states, neighborListsFor(states, tr.TransitionRadiusM()), tr.MaxStepM))
 	dists := distsFor(states, geo.Pt(10, 12))
-	tr.Update(dists)
-	if n := testing.AllocsPerRun(50, func() { tr.Update(dists) }); n != 0 {
-		t.Fatalf("Update allocates %.1f times per call in steady state", n)
+	shared := NewShared(states)
+	shared.setKernel(newKernel(states, neighborListsFor(states, shared.TransitionRadiusM()), shared.MaxStepM))
+	restored := New(states)
+	restored.Update(dists)
+	restored.Update(dists)
+	belief, prev, cur, init := restored.ExportState()
+	belief = append([]float64(nil), belief...)
+	cases := []struct {
+		name string
+		tr   *Tracker
+		step func(*Tracker)
+	}{
+		{"shared", shared, func(tr *Tracker) { tr.Update(dists) }},
+		{"own", New(states), func(tr *Tracker) { tr.Update(dists) }},
+		{"restored", restored, func(tr *Tracker) {
+			tr.RestoreState(belief, prev, cur, init)
+			tr.Update(dists)
+		}},
+	}
+	for _, tc := range cases {
+		tc.step(tc.tr)
+		if n := testing.AllocsPerRun(50, func() { tc.step(tc.tr) }); n != 0 {
+			t.Errorf("%s: Update allocates %.1f times per call in steady state", tc.name, n)
+		}
 	}
 }

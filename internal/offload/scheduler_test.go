@@ -142,7 +142,14 @@ func TestBatchedServerMatchesUnbatched(t *testing.T) {
 		}
 	}
 
+	// The scheduler answers a batch's epochs before it accounts the
+	// batch (noteBatch runs after the replies), so the last batch may
+	// still be uncounted when the last reply arrives: wait for it.
 	st := srv.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.BatchedEpochs < int64(nClients*epochs) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = srv.Stats()
+	}
 	if st.Batches == 0 {
 		t.Error("scheduler ran no batches — the batched path was never exercised")
 	}

@@ -132,40 +132,85 @@ func exportedBelief(t *testing.T, s *schemes.Fingerprinting) []float64 {
 	return belief
 }
 
+// neighborLister is the map snapshot's neighbour-list accessor.
+type neighborLister interface {
+	NeighborLists(maxDistM float64) [][]int32
+}
+
+// scanLists computes neighbour lists over a plain database's positions
+// by the transition model's own pair rule.
+func scanLists(pos []geo.Point, maxD float64) [][]int32 {
+	nb := make([][]int32, len(pos))
+	for j := range pos {
+		for i := range pos {
+			if !(pos[i].Dist(pos[j]) > maxD) {
+				nb[j] = append(nb[j], int32(i))
+			}
+		}
+	}
+	return nb
+}
+
 // TestTrackerKernelMatchesListPath runs WiFi and cellular
-// fingerprinting over a shared store along a whole campus path, with a
-// survey compaction swapping the snapshot mid-walk, and checks the
-// tracker's belief after every epoch against the list-only update
-// Float64bits-exactly.
+// fingerprinting along a whole campus path and checks the tracker's
+// belief after every epoch against the list-only update
+// Float64bits-exactly. Over a shared store (the serving path) a survey
+// compaction swaps the snapshot mid-walk; over a private database (the
+// training path) the tracker builds its own kernel. Mid-walk, every
+// case also moves the session into a fresh scheme through
+// AppendState/RestoreState, as a migration does.
 func TestTrackerKernelMatchesListPath(t *testing.T) {
 	place := scenario.Campus()
 	assets := scenario.NewAssets(place, 3)
 	cases := []struct {
-		name string
-		db   *fingerprint.DB
-		mk   func(fingerprint.Map) *schemes.Fingerprinting
-		obs  func(*sensing.Snapshot) rf.Vector
+		name    string
+		db      *fingerprint.DB
+		private bool
+		mk      func(fingerprint.Map) *schemes.Fingerprinting
+		obs     func(*sensing.Snapshot) rf.Vector
 	}{
-		{"wifi", assets.WiFiDB, schemes.NewWiFi, func(s *sensing.Snapshot) rf.Vector { return s.WiFi }},
-		{"cellular", assets.CellDB, schemes.NewCellular, func(s *sensing.Snapshot) rf.Vector { return s.Cell }},
+		{"wifi", assets.WiFiDB, false, schemes.NewWiFi, func(s *sensing.Snapshot) rf.Vector { return s.WiFi }},
+		{"cellular", assets.CellDB, false, schemes.NewCellular, func(s *sensing.Snapshot) rf.Vector { return s.Cell }},
+		{"wifi-private", assets.WiFiDB, true, schemes.NewWiFi, func(s *sensing.Snapshot) rf.Vector { return s.WiFi }},
+		{"cellular-private", assets.CellDB, true, schemes.NewCellular, func(s *sensing.Snapshot) rf.Vector { return s.Cell }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			store := mapstore.New(tc.db, mapstore.Config{Name: tc.name, RebuildBatch: 1 << 30})
-			defer store.Close()
+			var m fingerprint.Map = tc.db
+			var store *mapstore.Store
+			wantSwaps := 1
+			if !tc.private {
+				store = mapstore.New(tc.db, mapstore.Config{Name: tc.name, RebuildBatch: 1 << 30})
+				defer store.Close()
+				m = store
+				wantSwaps = 2
+			}
 			path := place.Paths[0].Line
 			wk := walker.New(place.World, path, walker.DefaultConfig(), rand.New(rand.NewSource(5)))
 			start, _ := path.At(0)
-			s := tc.mk(store)
+			s := tc.mk(m)
 			s.Reset(start)
 
 			var ref *listTracker
 			var refVer uint64
-			updates, swaps := 0, 0
+			updates, swaps, moves := 0, 0, 0
 			for epoch := 0; !wk.Done(); epoch++ {
 				snap, truth := wk.Next(true)
 				obs := tc.obs(snap)
-				if epoch == 120 {
+				if epoch == 60 {
+					// Migrate: ship the scheme's state into a fresh one
+					// over the same map, which carries on the walk.
+					blob, err := s.AppendState(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s = tc.mk(m)
+					if err := s.RestoreState(blob); err != nil {
+						t.Fatal(err)
+					}
+					moves++
+				}
+				if epoch == 120 && store != nil {
 					// Survey new points along the walk and compact: the
 					// next epoch runs on a bigger snapshot.
 					for k := 0; k < 6 && len(obs) >= 2; k++ {
@@ -179,9 +224,15 @@ func TestTrackerKernelMatchesListPath(t *testing.T) {
 				if !s.Estimate(snap).OK {
 					continue // the tracker did not update
 				}
-				view := store.Snapshot()
+				view := m.View()
 				if ref == nil || view.Version() != refVer {
-					ref = newListTracker(view.Positions(), view.NeighborLists(refMaxStepM*3))
+					var nb [][]int32
+					if nl, ok := view.(neighborLister); ok {
+						nb = nl.NeighborLists(refMaxStepM * 3)
+					} else {
+						nb = scanLists(view.Positions(), refMaxStepM*3)
+					}
+					ref = newListTracker(view.Positions(), nb)
 					refVer = view.Version()
 					swaps++
 				}
@@ -197,8 +248,9 @@ func TestTrackerKernelMatchesListPath(t *testing.T) {
 					}
 				}
 			}
-			if updates < 150 || swaps != 2 {
-				t.Fatalf("walk made %d updates over %d snapshots; want a long walk across one swap", updates, swaps)
+			if updates < 150 || swaps != wantSwaps || moves != 1 {
+				t.Fatalf("walk made %d updates over %d snapshots with %d moves; want a long walk across %d snapshots and one move",
+					updates, swaps, moves, wantSwaps)
 			}
 		})
 	}

@@ -107,8 +107,9 @@ type positionsKey struct{}
 // map snapshot (an hmm.KernelSource) the tracker adopts the positions
 // the snapshot memoizes, materialized once per snapshot and shared by
 // every session's tracker, and shares the snapshot's transition
-// kernel; over a plain database it copies them. The tracker itself
-// behaves identically either way.
+// kernel. Over a plain database it copies the positions and builds a
+// private kernel of its own (hmm.New). Either kernel lists the same
+// pairs, so the tracker's answers are bit-identical.
 func (f *Fingerprinting) rebuildTracker(view fingerprint.Reader) {
 	if src, ok := view.(hmm.KernelSource); ok {
 		pos := src.Memo(positionsKey{}, func() any { return view.Positions() }).([]geo.Point)
