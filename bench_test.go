@@ -598,11 +598,10 @@ func BenchmarkResample(b *testing.B) {
 // benchOffloadServer measures end-to-end offload-server throughput:
 // nc concurrent clients replay the same campus walk over TCP, each
 // behind its own session framework reading the shared wifi/cell map
-// stores. batchTick > 0 turns on the batch-per-tick scheduler, so the
-// same workload is served via fused per-batch distance passes. The
-// returned stats snapshot carries the batch-shape quantiles the
-// recorder folds into BENCH_epoch.json.
-func benchOffloadServer(b *testing.B, nc int, batchTick time.Duration, shared bool) offload.Stats {
+// stores. shared turns on the shared-compute cache. The returned stats
+// snapshot carries the cache counters the recorder folds into
+// BENCH_epoch.json.
+func benchOffloadServer(b *testing.B, nc int, shared bool) offload.Stats {
 	b.Helper()
 	s := getSuite(b)
 	tr, err := s.Lab.Trained()
@@ -621,14 +620,11 @@ func benchOffloadServer(b *testing.B, nc int, batchTick time.Duration, shared bo
 		return core.NewFramework(ss, tr.Models)
 	}
 	cfg := offload.ServerConfig{Factory: factory, SharedCompute: shared}
-	if batchTick > 0 || shared {
+	if shared {
 		cfg.BatchStores = map[byte]*mapstore.Store{
 			offload.MapWiFi:     wifiStore,
 			offload.MapCellular: cellStore,
 		}
-	}
-	if batchTick > 0 {
-		cfg.BatchTick = batchTick
 	}
 	srv, err := offload.NewServer(cfg)
 	if err != nil {
@@ -698,32 +694,18 @@ type epochBenchEntry struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// epochBenchBatch is the batch-shape summary of the batched server
-// row, lifted from the server's Stats quantiles (schema v1.1): how
-// many sessions each tick actually fused and how many distinct pinned
-// snapshots it precomputed against. A batched throughput number is
-// only comparable between runs that batched similarly.
-type epochBenchBatch struct {
-	Batches   int64   `json:"batches"`
-	SizeP50   float64 `json:"size_p50"`
-	SizeP95   float64 `json:"size_p95"`
-	GroupsP50 float64 `json:"groups_p50"`
-	GroupsP95 float64 `json:"groups_p95"`
-}
-
 // epochBenchShared is the shared-compute summary of the shared server
 // row (schema v1.2): the cache's lifetime counters and the hit rate
 // sessions saw on per-cell likelihood lookups. On a degraded (< 4
-// cpus) box the hit rate is the row's acceptance signal — the 2x
-// speedup over unbatched only materializes with real parallelism.
+// cpus) box the hit rate is the row's acceptance signal — any speedup
+// over private compute only materializes with real parallelism.
 type epochBenchShared struct {
-	Hits       int64   `json:"hits"`
-	Misses     int64   `json:"misses"`
-	HitRate    float64 `json:"hit_rate"`
-	RowsWarmed int64   `json:"rows_warmed"`
-	Trackers   int64   `json:"tracker_shares"`
-	Built      int64   `json:"entries_built"`
-	Evicted    int64   `json:"entries_evicted"`
+	Hits     int64   `json:"hits"`
+	Misses   int64   `json:"misses"`
+	HitRate  float64 `json:"hit_rate"`
+	Trackers int64   `json:"tracker_shares"`
+	Built    int64   `json:"entries_built"`
+	Evicted  int64   `json:"entries_evicted"`
 }
 
 // epochBenchFile is the committed BENCH_epoch.json document. CPUs
@@ -738,7 +720,6 @@ type epochBenchFile struct {
 	StepWorkers int               `json:"step_workers"`
 	Degraded    bool              `json:"degraded"`
 	Note        string            `json:"note,omitempty"`
-	Batch       *epochBenchBatch  `json:"batch,omitempty"`
 	Shared      *epochBenchShared `json:"shared,omitempty"`
 	Benchmarks  []epochBenchEntry `json:"benchmarks"`
 }
@@ -772,13 +753,13 @@ func TestRecordEpochBench(t *testing.T) {
 	}
 	degraded := runtime.NumCPU() < benchStepWorkers
 	if degraded {
-		msg := fmt.Sprintf("BENCH DEGRADED: %d cpus < %d step workers — parallel and batched "+
+		msg := fmt.Sprintf("BENCH DEGRADED: %d cpus < %d step workers — parallel and shared "+
 			"rows measure scheduling overhead, not speedup; do not compare across machines",
 			runtime.NumCPU(), benchStepWorkers)
 		t.Log(msg)
 		fmt.Fprintln(os.Stderr, msg)
 	}
-	var batchStats, sharedStats offload.Stats
+	var sharedStats offload.Stats
 	doc := epochBenchFile{
 		Schema:      "uniloc-bench-epoch/v1.2",
 		GOOS:        runtime.GOOS,
@@ -788,8 +769,8 @@ func TestRecordEpochBench(t *testing.T) {
 		Degraded:    degraded,
 		Note: "framework_step_par vs framework_step_seq is the parallel pipeline's " +
 			"speedup; it only materializes when cpus >= 4 (one core per heavy scheme). " +
-			"server_epoch_64c_* rows need cpus >= 4 as well for the batched scheduler " +
-			"and the shared-compute cache to show their multicore win; on degraded " +
+			"server_epoch_64c_* rows need cpus >= 4 as well for the shared-compute " +
+			"cache to show its multicore win; on degraded " +
 			"boxes the shared row's acceptance signal is shared.hit_rate > 0.9.",
 		Benchmarks: []epochBenchEntry{
 			row("framework_step_seq", func(b *testing.B) { benchFrameworkStep(b) }),
@@ -811,34 +792,21 @@ func TestRecordEpochBench(t *testing.T) {
 				}
 			}),
 			row("server_epoch_64c_unbatched", func(b *testing.B) {
-				benchOffloadServer(b, 64, 0, false)
-			}),
-			row("server_epoch_64c_batched", func(b *testing.B) {
-				batchStats = benchOffloadServer(b, 64, 200*time.Microsecond, false)
+				benchOffloadServer(b, 64, false)
 			}),
 			row("server_epoch_64c_shared", func(b *testing.B) {
-				sharedStats = benchOffloadServer(b, 64, 200*time.Microsecond, true)
+				sharedStats = benchOffloadServer(b, 64, true)
 			}),
 		},
 	}
-	if batchStats.Batches > 0 {
-		doc.Batch = &epochBenchBatch{
-			Batches:   batchStats.Batches,
-			SizeP50:   batchStats.BatchSizeP50,
-			SizeP95:   batchStats.BatchSizeP95,
-			GroupsP50: batchStats.BatchGroupsP50,
-			GroupsP95: batchStats.BatchGroupsP95,
-		}
-	}
 	if lk := sharedStats.SharedLikHits + sharedStats.SharedLikMisses; lk > 0 {
 		doc.Shared = &epochBenchShared{
-			Hits:       sharedStats.SharedLikHits,
-			Misses:     sharedStats.SharedLikMisses,
-			HitRate:    float64(sharedStats.SharedLikHits) / float64(lk),
-			RowsWarmed: sharedStats.SharedRowsWarmed,
-			Trackers:   sharedStats.SharedTrackers,
-			Built:      sharedStats.SharedBuilt,
-			Evicted:    sharedStats.SharedEvicted,
+			Hits:     sharedStats.SharedLikHits,
+			Misses:   sharedStats.SharedLikMisses,
+			HitRate:  float64(sharedStats.SharedLikHits) / float64(lk),
+			Trackers: sharedStats.SharedTrackers,
+			Built:    sharedStats.SharedBuilt,
+			Evicted:  sharedStats.SharedEvicted,
 		}
 		// The cache's whole premise is that 64 sessions overlap almost
 		// completely; anything under 90% means sharing is broken, on

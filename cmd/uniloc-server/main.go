@@ -43,12 +43,12 @@
 // history — on -replicate-listen.
 //
 // With -trace, every served epoch becomes a span tree — server.frame
-// with read/queue/step/write children and per-scheme spans, joined to
-// the client's trace when the phone speaks protocol v5 — browsable at
-// /debug/traces on the metrics listener, with the slowest frames kept
-// as exemplars. -trace-jsonl streams every span to a file for offline
+// with read/step/trace.observe/write children and per-scheme spans,
+// joined to the client's trace when the phone speaks protocol v5 —
+// browsable at /debug/traces on the metrics listener, with the slowest
+// frames kept as exemplars. -trace-jsonl streams every span to a file for offline
 // analysis with uniloc-trace; -pprof-labels additionally labels CPU
-// profile samples by session, scheme, and batch tick.
+// profile samples by session and scheme.
 package main
 
 import (
@@ -89,15 +89,13 @@ func main() {
 	rebuildBatch := flag.Int("rebuild-batch", 256, "pending survey points that trigger a background snapshot rebuild")
 	rebuildEvery := flag.Duration("rebuild-every", 30*time.Second, "also rebuild snapshots on this timer so trickles land (0 = batch-only)")
 	stepWorkers := flag.Int("step-workers", 0, "per-session scheme-execution workers (core.WithParallel); <= 1 runs schemes sequentially, results are bit-identical either way")
-	batchTick := flag.Duration("batch-tick", 0, "batch-per-tick scheduler: collect ready epochs from all sessions for this long and step them as one fused batch (0 = per-connection stepping; requires -shared-map for the fused distance pass)")
-	batchWorkers := flag.Int("batch-workers", 0, "sessions stepped concurrently per batch (<= 0 = NumCPU)")
 	sharedCompute := flag.Bool("shared-compute", true, "share version-keyed likelihood rows and HMM neighbor lists across sessions (requires -shared-map; results stay bit-identical to private compute)")
 	traceOn := flag.Bool("trace", false, "span-trace every served epoch; browse at /debug/traces on -metrics-addr")
 	traceRing := flag.Int("trace-ring", 4096, "spans kept in the in-memory trace ring (rounded up to a power of two)")
 	traceJSONL := flag.String("trace-jsonl", "", "also append every span as JSON lines to this file (implies -trace)")
 	traceExemplars := flag.Int("trace-exemplars", 8, "slowest frames kept per exemplar window")
 	traceWindow := flag.Duration("trace-window", time.Minute, "exemplar rotation window")
-	pprofLabels := flag.Bool("pprof-labels", false, "label CPU profile samples with session, scheme and batch tick (small per-epoch allocation cost)")
+	pprofLabels := flag.Bool("pprof-labels", false, "label CPU profile samples with session and scheme (small per-epoch allocation cost)")
 	drainGrace := flag.Duration("drain-grace", 0, "on SIGTERM/SIGINT, stop accepting and let in-flight sessions finish their current epoch for up to this long before force-closing (0 = close immediately)")
 	replListen := flag.String("replicate-listen", "", "lead a replication group: stream map-store compaction deltas to followers subscribing on this address (requires -shared-map)")
 	replFrom := flag.String("replicate-from", "", "follow a replication leader: comma-separated candidate addresses, tried in order on every (re)connect (requires -shared-map; local compaction is disabled, surveys are forwarded upstream)")
@@ -119,8 +117,6 @@ func main() {
 		rebuildBatch:  *rebuildBatch,
 		rebuildEvery:  *rebuildEvery,
 		stepWorkers:   *stepWorkers,
-		batchTick:     *batchTick,
-		batchWorkers:  *batchWorkers,
 		sharedCompute: *sharedCompute,
 
 		trace:          *traceOn || *traceJSONL != "",
@@ -155,8 +151,6 @@ type serverOpts struct {
 	rebuildBatch      int
 	rebuildEvery      time.Duration
 	stepWorkers       int
-	batchTick         time.Duration
-	batchWorkers      int
 	sharedCompute     bool
 
 	trace          bool
@@ -226,7 +220,7 @@ func run(opts serverOpts) error {
 	// collapse into two versioned stores every session reads through
 	// atomic snapshots.
 	var sessionSeq atomic.Int64
-	var stores, batchStores map[byte]*mapstore.Store
+	var stores, pinStores map[byte]*mapstore.Store
 	factory := func() (*core.Framework, error) {
 		n := sessionSeq.Add(1)
 		rnd := rand.New(rand.NewSource(opts.seed + 7 + n))
@@ -320,11 +314,11 @@ func run(opts serverOpts) error {
 			ss := campus.SchemesOver(wifiStore, cellStore, rnd)
 			return core.NewFramework(ss, tr.Models)
 		}
-		// The batch scheduler's fused distance pass always reads the
-		// shared stores; survey ingestion stays gated on -ingest.
-		batchStores = replStores
+		// Shared compute always pins the shared stores' snapshots;
+		// survey ingestion stays gated on -ingest.
+		pinStores = replStores
 		if opts.ingest {
-			stores = batchStores
+			stores = pinStores
 		}
 	} else if opts.ingest {
 		return fmt.Errorf("-ingest requires -shared-map")
@@ -362,9 +356,7 @@ func run(opts serverOpts) error {
 		Metrics:       reg,
 		MapStores:     stores,
 		StepWorkers:   opts.stepWorkers,
-		BatchTick:     opts.batchTick,
-		BatchWorkers:  opts.batchWorkers,
-		BatchStores:   batchStores,
+		BatchStores:   pinStores,
 		SharedCompute: opts.sharedCompute && opts.sharedMap,
 		Tracer:        tracer,
 		PprofLabels:   opts.pprofLabels,
@@ -381,8 +373,8 @@ func run(opts serverOpts) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("uniloc-server listening on %s (campus, max-sessions=%d, idle-timeout=%v, epoch-timeout=%v, shared-map=%v, ingest=%v, step-workers=%d, batch-tick=%v, shared-compute=%v, trace=%v, pprof-labels=%v)",
-		ln.Addr(), opts.maxSessions, opts.idleTimeout, opts.epochTimeout, opts.sharedMap, opts.ingest, opts.stepWorkers, opts.batchTick, opts.sharedCompute && opts.sharedMap, opts.trace, opts.pprofLabels)
+	log.Printf("uniloc-server listening on %s (campus, max-sessions=%d, idle-timeout=%v, epoch-timeout=%v, shared-map=%v, ingest=%v, step-workers=%d, shared-compute=%v, trace=%v, pprof-labels=%v)",
+		ln.Addr(), opts.maxSessions, opts.idleTimeout, opts.epochTimeout, opts.sharedMap, opts.ingest, opts.stepWorkers, opts.sharedCompute && opts.sharedMap, opts.trace, opts.pprofLabels)
 
 	// Optional exposition endpoint: Prometheus + JSON metrics, expvar,
 	// pprof.

@@ -6,7 +6,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/fingerprint"
 	"repro/internal/geo"
 	"repro/internal/iodetector"
 	"repro/internal/schemes"
@@ -90,10 +89,10 @@ func WithObserver(o telemetry.Observer) Option {
 
 // WithPprofLabels enables runtime/pprof labels around each scheme's
 // epoch work, so CPU and goroutine profiles of a busy server attribute
-// samples to scheme names ("scheme" label; the offload layer adds
-// session and batch-tick labels around the whole step). Off by
-// default: label push/pop costs a few allocations per scheme per
-// epoch, which would break the zero-alloc untraced path.
+// samples to scheme names ("scheme" label; the offload layer adds a
+// session label around the whole step). Off by default: label push/pop
+// costs a few allocations per scheme per epoch, which would break the
+// zero-alloc untraced path.
 func WithPprofLabels(on bool) Option {
 	return func(f *Framework) { f.pprofLabels = on }
 }
@@ -152,21 +151,6 @@ func NewFramework(ss []schemes.Scheme, models *ModelSet, opts ...Option) (*Frame
 
 // Schemes returns the framework's scheme list.
 func (f *Framework) Schemes() []schemes.Scheme { return f.schemes }
-
-// SetDistCache forwards a shared per-batch fingerprint-distance cache
-// to every scheme that can consume one (schemes.DistCacheUser); nil
-// clears it. The batch scheduler installs the cache before stepping a
-// session and the framework is driven from one goroutine per session,
-// so no synchronization beyond the scheduler's own happens-before edge
-// is needed. Cache hits and misses produce identical floats, so this
-// never changes a Step result — only the work done to compute it.
-func (f *Framework) SetDistCache(c *fingerprint.DistCache) {
-	for _, s := range f.schemes {
-		if u, ok := s.(schemes.DistCacheUser); ok {
-			u.SetDistCache(c)
-		}
-	}
-}
 
 // SetSharedCompute forwards the server's cross-session shared-compute
 // cache to every scheme that can consume one

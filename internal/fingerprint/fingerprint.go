@@ -7,6 +7,7 @@
 package fingerprint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -346,4 +347,27 @@ func (db *DB) VectorAt(p geo.Point) (vec rf.Vector, distM float64, ok bool) {
 		}
 	}
 	return db.Points[best].Vec, math.Sqrt(bestD), true
+}
+
+// AppendObsKey appends the canonical observation key to dst and
+// returns it: each entry contributes its ID (length-prefixed, so
+// concatenation is unambiguous) and the Float64bits of its RSSI. Two
+// observations share a key iff AppendDistances would produce identical
+// columns for them. Callers on hot paths reuse a scratch buffer here,
+// avoiding the string allocation of ObsKey.
+func AppendObsKey(dst []byte, obs rf.Vector) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+	for _, o := range obs {
+		n := binary.PutUvarint(tmp[:], uint64(len(o.ID)))
+		dst = append(dst, tmp[:n]...)
+		dst = append(dst, o.ID...)
+		binary.BigEndian.PutUint64(tmp[:8], math.Float64bits(o.RSSI))
+		dst = append(dst, tmp[:8]...)
+	}
+	return dst
+}
+
+// ObsKey builds the canonical observation key as a string.
+func ObsKey(obs rf.Vector) string {
+	return string(AppendObsKey(nil, obs))
 }

@@ -346,3 +346,17 @@ func TestVectorAt(t *testing.T) {
 		t.Error("empty DB should be !ok")
 	}
 }
+
+// TestObsKeyCanonical: keys are injective over (ID, RSSI) sequences —
+// concatenation ambiguity between adjacent IDs must not produce
+// colliding keys.
+func TestObsKeyCanonical(t *testing.T) {
+	a := ObsKey(rf.Vector{{ID: "ab", RSSI: -50}, {ID: "c", RSSI: -60}})
+	b := ObsKey(rf.Vector{{ID: "a", RSSI: -50}, {ID: "bc", RSSI: -60}})
+	if a == b {
+		t.Fatal("ObsKey collided across different ID splits")
+	}
+	if ObsKey(nil) != ObsKey(rf.Vector{}) {
+		t.Fatal("empty vectors must share a key")
+	}
+}

@@ -763,3 +763,29 @@ func (s *Snapshot) neighborLists(maxDistM float64) [][]int32 {
 	}
 	return nb
 }
+
+// LikCell identifies one cell of the RSSI likelihood grid the schemes
+// memoize over: the grid of edge cellM anchored at the origin, so cell
+// (X, Y) covers [X*cellM, (X+1)*cellM) × [Y*cellM, (Y+1)*cellM).
+type LikCell struct{ X, Y int32 }
+
+// LikCellFor returns the likelihood-grid cell containing p.
+func LikCellFor(p geo.Point, cellM float64) LikCell {
+	return LikCell{int32(math.Floor(p.X / cellM)), int32(math.Floor(p.Y / cellM))}
+}
+
+// Center returns the cell's center — the canonical position every
+// consumer resolves the cell's representative fingerprint through.
+func (c LikCell) Center(cellM float64) geo.Point {
+	return geo.Pt((float64(c.X)+0.5)*cellM, (float64(c.Y)+0.5)*cellM)
+}
+
+// CellLikelihood converts an RSSI-space distance into the canonical
+// fingerprint likelihood: a Gaussian over distance with a small floor
+// so a bad match never zeroes a particle outright. The fusion scheme's
+// private memo and the shared-compute rows both evaluate likelihoods
+// through this one expression, which is what makes their outputs
+// bit-identical.
+func CellLikelihood(d, scale float64) float64 {
+	return math.Max(math.Exp(-d*d/(2*scale*scale)), 1e-3)
+}

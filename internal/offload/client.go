@@ -152,7 +152,7 @@ func (c *Client) SetMetrics(reg *telemetry.Registry) {
 
 // SetTracer attaches a span tracer: every Localize call becomes one
 // "client.epoch" root span whose context travels to the server in the
-// v5 context frame, so the server's frame, batch, and per-scheme spans
+// v5 context frame, so the server's frame, step, and per-scheme spans
 // join the same trace tree. Nil (the default) disables tracing at zero
 // cost. When the handshake negotiates a pre-v5 session, spans are
 // still recorded locally but no trace bytes are sent.

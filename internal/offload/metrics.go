@@ -25,15 +25,6 @@ type serverMetrics struct {
 	acceptErrors     *telemetry.Counter
 	sessionsDrained  *telemetry.Counter
 
-	// Batch scheduler instruments (BatchTick > 0).
-	batchTicks      *telemetry.Counter
-	batchSize       *telemetry.Histogram
-	batchGroups     *telemetry.Histogram
-	batchOccupancy  *telemetry.Gauge
-	distCacheHits   *telemetry.Counter
-	distCacheMisses *telemetry.Counter
-	distCacheCols   *telemetry.Counter
-
 	// Protocol v4 resume instruments.
 	sessionsDetached *telemetry.Counter
 	sessionsResumed  *telemetry.Counter
@@ -43,18 +34,6 @@ type serverMetrics struct {
 	// Cross-node failover instruments.
 	sessionsInjected *telemetry.Counter
 	injectFailures   *telemetry.Counter
-}
-
-// batchSizeBuckets cover 1..maxBatch sessions per tick.
-func batchSizeBuckets() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-}
-
-// batchGroupBuckets cover the distinct pinned map snapshots one tick
-// precomputes against — at most the configured store count, so the
-// range is tiny (0 = nothing shareable that tick).
-func batchGroupBuckets() []float64 {
-	return []float64{0, 1, 2, 3, 4}
 }
 
 func newServerMetrics(reg *telemetry.Registry) serverMetrics {
@@ -74,14 +53,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		deadlineTimeouts: reg.Counter("deadline_timeouts_total", "protocol reads/writes that hit their deadline"),
 		acceptErrors:     reg.Counter("accept_errors_total", "transient listener Accept failures retried with backoff"),
 		sessionsDrained:  reg.Counter("uniloc_sessions_drained_total", "connections closed by a graceful drain"),
-
-		batchTicks:      reg.Counter("uniloc_batch_ticks_total", "batches executed by the batch-per-tick scheduler"),
-		batchSize:       reg.Histogram("uniloc_batch_size", "sessions stepped per batch tick", batchSizeBuckets()),
-		batchGroups:     reg.Histogram("uniloc_batch_groups", "distinct pinned map snapshots precomputed per batch tick", batchGroupBuckets()),
-		batchOccupancy:  reg.Gauge("uniloc_batch_occupancy", "last batch size over active sessions"),
-		distCacheHits:   reg.Counter("uniloc_distcache_hits_total", "scheme distance columns served from the shared batch cache"),
-		distCacheMisses: reg.Counter("uniloc_distcache_misses_total", "scheme distance lookups computed locally during a batch"),
-		distCacheCols:   reg.Counter("uniloc_distcache_columns_total", "unique distance columns precomputed across batches"),
 
 		sessionsDetached: reg.Counter("uniloc_sessions_detached_total", "v4 sessions parked for resume after a transport error"),
 		sessionsResumed:  reg.Counter("uniloc_sessions_resumed_total", "v4 re-handshakes re-attached to a detached session"),

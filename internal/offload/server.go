@@ -63,24 +63,10 @@ type ServerConfig struct {
 	// 0 = no deadline.
 	EpochTimeout time.Duration
 
-	// BatchTick enables the batch-per-tick scheduler: ready epochs from
-	// all sessions are collected for up to this long (a full batch
-	// fires sooner), their shared fingerprint-distance columns are
-	// precomputed once per unique observation against the pinned map
-	// snapshots, and the sessions are stepped across a worker pool.
-	// Results are bit-identical to per-connection stepping (see
-	// scheduler). 0 keeps the per-connection step loop.
-	BatchTick time.Duration
-
-	// BatchWorkers sizes the batch scheduler's session-step worker
-	// pool. <= 0 defaults to runtime.NumCPU().
-	BatchWorkers int
-
-	// BatchStores are the shared radio-map stores the scheduler
-	// precomputes distance columns against, keyed like MapStores
-	// (MapWiFi routes each epoch's WiFi scan, MapCellular its cell
-	// scan). Nil falls back to MapStores; sessions whose schemes read
-	// other maps simply miss the cache and compute locally.
+	// BatchStores names the shared radio-map stores whose snapshots
+	// shared compute pins per session, keyed like MapStores. Nil falls
+	// back to MapStores. (The name is historical: these stores first
+	// fed a batched distance pass.)
 	BatchStores map[byte]*mapstore.Store
 
 	// SharedCompute enables the cross-session shared-compute cache
@@ -91,23 +77,22 @@ type ServerConfig struct {
 	// refcount-pinned per session and evicted when the last pinning
 	// session closes. Results are Float64bits-identical to private
 	// computation (DESIGN.md §16). Requires shared map stores
-	// (BatchStores or MapStores); composes with, but does not require,
-	// BatchTick — with batching on, the scheduler additionally
-	// prewarms likelihood rows through the fused kernel.
+	// (BatchStores or MapStores).
 	SharedCompute bool
 
 	// Tracer enables end-to-end span tracing: one "server.frame" span
 	// per served epoch (continuing the client's trace when the v5
-	// context frame carries one), with read/queue/step/write children
-	// and per-scheme spans bridged from the framework's epoch traces.
+	// context frame carries one), with read/step/trace.observe/write
+	// children and per-scheme spans bridged from the framework's epoch
+	// traces.
 	// Nil keeps tracing off — no observer is attached and the serving
 	// path allocates nothing extra.
 	Tracer *trace.Tracer
 
-	// PprofLabels wraps serving goroutines (session), batch workers
-	// (session + batch tick), and per-scheme work in runtime/pprof
-	// labels so CPU profiles of a busy server decompose by session and
-	// scheme. Off by default: labeling allocates per epoch.
+	// PprofLabels wraps serving goroutines (session) and per-scheme
+	// work in runtime/pprof labels so CPU profiles of a busy server
+	// decompose by session and scheme. Off by default: labeling
+	// allocates per epoch.
 	PprofLabels bool
 
 	// MaxProtocol caps the version the handshake negotiates, for tests
@@ -157,7 +142,6 @@ type Server struct {
 	shipSession  func(clientID string, seq uint32, state []byte)
 	fetchSession func(clientID string) []byte
 	epochTimeout time.Duration
-	sched        *scheduler    // nil: per-connection stepping
 	tracer       *trace.Tracer // nil: tracing off
 	pprofLabels  bool
 	maxProto     byte
@@ -184,30 +168,23 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		epochTimeout: cfg.EpochTimeout,
 		tracer:       cfg.Tracer, pprofLabels: cfg.PprofLabels, maxProto: maxProto,
 	}
-	batchStores := cfg.BatchStores
-	if batchStores == nil {
-		batchStores = cfg.MapStores
+	pinStores := cfg.BatchStores
+	if pinStores == nil {
+		pinStores = cfg.MapStores
 	}
-	if cfg.SharedCompute && len(batchStores) > 0 {
-		// Attach before the scheduler is built and before any session
-		// opens, so every framework and batch sees the cache.
-		mgr.SetSharedCompute(sharedcompute.NewCache(cfg.Metrics), batchStores)
-	}
-	if cfg.BatchTick > 0 {
-		s.sched = newScheduler(cfg.BatchTick, cfg.BatchWorkers, batchStores, mgr)
+	if cfg.SharedCompute && len(pinStores) > 0 {
+		// Attach before any session opens, so every framework sees the
+		// cache.
+		mgr.SetSharedCompute(sharedcompute.NewCache(cfg.Metrics), pinStores)
 	}
 	return s, nil
 }
 
-// Close releases the server's background resources (the batch
-// scheduler's goroutine, when batching is enabled). Serving goroutines
-// that outlive Close fall back to inline stepping; results are
-// unchanged. Idempotent.
-func (s *Server) Close() {
-	if s.sched != nil {
-		s.sched.close()
-	}
-}
+// Close releases the server's background resources. Every epoch steps
+// on its connection's goroutine and sessions release their own state
+// when they end, so there is nothing left to stop; Close is kept so
+// callers can pair it with NewServer. Idempotent.
+func (s *Server) Close() {}
 
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -410,8 +387,8 @@ func (s *Server) serve(conn net.Conn) error {
 	}
 	if s.pprofLabels {
 		// Label the serving goroutine so CPU/goroutine profiles of a
-		// busy server decompose by session (batch workers and scheme
-		// execution add their own labels on top).
+		// busy server decompose by session (scheme execution adds its
+		// own labels on top).
 		var loopErr error
 		pprof.Do(context.Background(), pprof.Labels("session", sess.spanLabel),
 			func(context.Context) { loopErr = s.epochLoop(conn, sess, ioFail) })
@@ -442,8 +419,8 @@ func (s *Server) emitChild(frame *trace.Span, sess *Session, name string, startN
 // error. With a tracer attached, each served epoch becomes one
 // "server.frame" span — continuing the client's trace when the v5
 // context frame carried a span context, a fresh root otherwise — with
-// server.read/server.queue/step/server.write children accounting for
-// where the frame's wall time went.
+// server.read/step/trace.observe/server.write children accounting
+// for where the frame's wall time went.
 func (s *Server) epochLoop(conn net.Conn, sess *Session, ioFail func(error) error) error {
 	for {
 		s.armDeadline(conn) // one deadline window per epoch exchange
@@ -490,19 +467,12 @@ func (s *Server) epochLoop(conn net.Conn, sess *Session, ioFail func(error) erro
 			}
 			continue
 		}
-		var res core.StepResult
-		var stepDur time.Duration
-		if s.sched != nil {
-			res, stepDur = s.sched.step(sess, snap, frame.Context())
-		} else {
-			// Unbatched: migrate this session's shared-compute pins at
-			// the epoch boundary (batched sessions repin per tick).
-			s.mgr.RepinShared(sess)
-			t0 := time.Now()
-			res = sess.fw.Step(snap)
-			stepDur = time.Since(t0)
-		}
-		s.mgr.RecordEpoch(sess, stepDur)
+		// Migrate this session's shared-compute pins at the epoch
+		// boundary, so a compaction swap reaches every session.
+		s.mgr.RepinShared(sess)
+		t0 := time.Now()
+		res := sess.fw.Step(snap)
+		s.mgr.RecordEpoch(sess, time.Since(t0))
 
 		out := &Result{
 			X: res.BMA.X, Y: res.BMA.Y,

@@ -14,7 +14,6 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/geo"
 	"repro/internal/imu"
-	"repro/internal/mapstore"
 	"repro/internal/noise"
 	"repro/internal/regress"
 	"repro/internal/rf"
@@ -450,19 +449,6 @@ func BenchmarkServerConcurrentClients(b *testing.B) {
 		for _, nc := range []int{1, 2, 4, 8} {
 			benchServerClients(b, fmt.Sprintf("map=%s/clients=%d", wd.name, nc), ServerConfig{Factory: factory}, snaps, nc)
 		}
-	}
-
-	// Batched scheduler over the shared store: the same epochs, but
-	// grouped per tick and served one columnar distance pass per batch.
-	batchedFactory, bw, store := sharedStoreWorld(b, telemetry.NewRegistry())
-	_, bsnaps := corridorWalk(bw, 2, 7, 8)
-	for _, nc := range []int{8, 64} {
-		cfg := ServerConfig{
-			Factory:     batchedFactory,
-			BatchTick:   200 * time.Microsecond,
-			BatchStores: map[byte]*mapstore.Store{MapWiFi: store},
-		}
-		benchServerClients(b, fmt.Sprintf("map=shared-batched/clients=%d", nc), cfg, bsnaps, nc)
 	}
 }
 

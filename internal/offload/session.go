@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fingerprint"
 	"repro/internal/geo"
 	"repro/internal/mapstore"
 	"repro/internal/sharedcompute"
@@ -130,38 +129,19 @@ type Stats struct {
 	Injected       int64
 	InjectFailures int64
 
-	// Batch scheduler counters (BatchTick > 0): batches executed,
-	// epochs stepped through batches, and shared distance-cache
-	// effectiveness across all batched schemes.
-	Batches         int64
-	BatchedEpochs   int64
-	DistCacheHits   int64
-	DistCacheMisses int64
-
-	// Batch shape quantiles, from always-on internal histograms (they
-	// exist with or without a metrics registry, so Stats and /metrics
-	// agree): sessions stepped per tick, and distinct pinned map
-	// snapshots ("groups") whose columns one tick precomputed. Zero
-	// until the first batch.
-	BatchSizeP50   float64
-	BatchSizeP95   float64
-	BatchGroupsP50 float64
-	BatchGroupsP95 float64
-
 	// Shared-compute cache counters (ServerConfig.SharedCompute):
 	// per-cell likelihood lookups served from vs missed by the shared
-	// snapshot rows, rows prewarmed by the batch scheduler's fused
-	// kernel, HMM tracker rebuilds served from shared state, entries
-	// built/evicted over the server's lifetime, entries resident right
-	// now, and the newest resident snapshot version per map store.
-	SharedLikHits    int64
-	SharedLikMisses  int64
-	SharedRowsWarmed int64
-	SharedTrackers   int64
-	SharedBuilt      int64
-	SharedEvicted    int64
-	SharedResident   int
-	SharedVersions   map[string]uint64
+	// snapshot rows, HMM tracker rebuilds served from shared state,
+	// entries built/evicted over the server's lifetime, entries
+	// resident right now, and the newest resident snapshot version per
+	// map store.
+	SharedLikHits   int64
+	SharedLikMisses int64
+	SharedTrackers  int64
+	SharedBuilt     int64
+	SharedEvicted   int64
+	SharedResident  int
+	SharedVersions  map[string]uint64
 
 	Sessions []SessionStat // live sessions, per-session detail
 }
@@ -203,11 +183,6 @@ type SessionManager struct {
 	replayEntries int
 	replayBytes   int
 
-	batches       atomic.Int64 // batch ticks executed
-	batchedEpochs atomic.Int64 // epochs stepped through batches
-	cacheHits     atomic.Int64 // shared distance-cache hits
-	cacheMisses   atomic.Int64 // shared distance-cache misses
-
 	met    serverMetrics
 	health *core.Health // shared across session frameworks; counters are atomic
 
@@ -218,11 +193,6 @@ type SessionManager struct {
 
 	tracer      *trace.Tracer // nil = tracing off
 	pprofLabels bool          // label serving goroutines and scheme work
-
-	// Always-on batch-shape histograms backing the Stats quantiles
-	// (registry-independent; the registry's twins are in serverMetrics).
-	batchSizeH   *telemetry.Histogram
-	batchGroupsH *telemetry.Histogram
 }
 
 // NewSessionManager builds a manager over a framework factory. The
@@ -234,16 +204,14 @@ func NewSessionManager(factory core.FrameworkFactory, maxSessions int, idleTimeo
 		return nil, fmt.Errorf("offload: session manager needs a framework factory")
 	}
 	return &SessionManager{
-		factory:      factory,
-		maxSessions:  maxSessions,
-		idleTimeout:  idleTimeout,
-		now:          time.Now,
-		sessions:     make(map[uint32]*Session),
-		detached:     make(map[string]*Session),
-		met:          newServerMetrics(reg),
-		health:       core.NewHealth(reg),
-		batchSizeH:   telemetry.NewHistogram(batchSizeBuckets()),
-		batchGroupsH: telemetry.NewHistogram(batchGroupBuckets()),
+		factory:     factory,
+		maxSessions: maxSessions,
+		idleTimeout: idleTimeout,
+		now:         time.Now,
+		sessions:    make(map[uint32]*Session),
+		detached:    make(map[string]*Session),
+		met:         newServerMetrics(reg),
+		health:      core.NewHealth(reg),
 	}, nil
 }
 
@@ -257,8 +225,8 @@ func (m *SessionManager) SetTracer(t *trace.Tracer) { m.tracer = t }
 func (m *SessionManager) Tracer() *trace.Tracer { return m.tracer }
 
 // SetPprofLabels enables runtime/pprof labels on serving goroutines
-// (session), batch workers (batch tick), and per-scheme work, applied
-// to subsequently opened sessions. Call before serving.
+// (session) and per-scheme work, applied to subsequently opened
+// sessions. Call before serving.
 func (m *SessionManager) SetPprofLabels(on bool) { m.pprofLabels = on }
 
 // noteDeadlineTimeout accounts one session evicted at its epoch
@@ -295,12 +263,11 @@ func (m *SessionManager) SetSharedCompute(c *sharedcompute.Cache, stores map[byt
 func (m *SessionManager) SharedCompute() *sharedcompute.Cache { return m.shared }
 
 // RepinShared refreshes a session's shared-compute pins to the stores'
-// current snapshots. Called at epoch boundaries (per epoch unbatched,
-// per batch tick batched) so a compaction swap migrates every
-// session's pin — and eventually evicts the superseded entry — without
-// any lock on the lock-free read path. A session whose pins were
-// already released by Close is left alone. No-op when shared compute
-// is off.
+// current snapshots. Called at every epoch boundary so a compaction
+// swap migrates every session's pin — and eventually evicts the
+// superseded entry — without any lock on the lock-free read path. A
+// session whose pins were already released by Close is left alone.
+// No-op when shared compute is off.
 func (m *SessionManager) RepinShared(s *Session) {
 	if m.shared == nil {
 		return
@@ -653,32 +620,6 @@ func (m *SessionManager) inject(blob []byte) error {
 	return nil
 }
 
-// noteBatch accounts one executed batch: its size, how many distinct
-// pinned map snapshots ("groups") its precompute pass covered, and the
-// effectiveness of its shared distance cache.
-func (m *SessionManager) noteBatch(size, groups int, cache *fingerprint.DistCache) {
-	m.batches.Add(1)
-	m.batchedEpochs.Add(int64(size))
-	m.met.batchTicks.Inc()
-	m.met.batchSize.Observe(float64(size))
-	m.met.batchGroups.Observe(float64(groups))
-	m.batchSizeH.Observe(float64(size))
-	m.batchGroupsH.Observe(float64(groups))
-	m.mu.Lock()
-	active := len(m.sessions)
-	m.mu.Unlock()
-	if active > 0 {
-		m.met.batchOccupancy.Set(float64(size) / float64(active))
-	}
-	if cache != nil {
-		m.cacheHits.Add(cache.Hits())
-		m.cacheMisses.Add(cache.Misses())
-		m.met.distCacheHits.Add(cache.Hits())
-		m.met.distCacheMisses.Add(cache.Misses())
-		m.met.distCacheCols.Add(int64(cache.Len()))
-	}
-}
-
 // Close removes a session from the live set and stops its framework's
 // worker pool, so scheme-execution goroutines never outlive their
 // session. Idempotent.
@@ -821,29 +762,16 @@ func (m *SessionManager) Stats() Stats {
 		ReplayEvictions:      m.replayEv.Load(),
 		Injected:             m.injected.Load(),
 		InjectFailures:       m.injectErr.Load(),
-		Batches:              m.batches.Load(),
-		BatchedEpochs:        m.batchedEpochs.Load(),
-		DistCacheHits:        m.cacheHits.Load(),
-		DistCacheMisses:      m.cacheMisses.Load(),
 	}
 	if m.shared != nil {
 		cs := m.shared.Stats()
 		st.SharedLikHits = cs.LikHits
 		st.SharedLikMisses = cs.LikMisses
-		st.SharedRowsWarmed = cs.RowsWarmed
 		st.SharedTrackers = cs.Trackers
 		st.SharedBuilt = cs.Built
 		st.SharedEvicted = cs.Evicted
 		st.SharedResident = cs.Resident
 		st.SharedVersions = cs.ResidentVersions
-	}
-	if m.batchSizeH.Count() > 0 {
-		st.BatchSizeP50 = m.batchSizeH.Quantile(0.5)
-		st.BatchSizeP95 = m.batchSizeH.Quantile(0.95)
-	}
-	if m.batchGroupsH.Count() > 0 {
-		st.BatchGroupsP50 = m.batchGroupsH.Quantile(0.5)
-		st.BatchGroupsP95 = m.batchGroupsH.Quantile(0.95)
 	}
 	if st.EpochsServed > 0 {
 		st.EpochLatencyAvg = time.Duration(m.latency.Load() / st.EpochsServed)

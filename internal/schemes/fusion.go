@@ -84,14 +84,12 @@ type Fusion struct {
 	distScratch  []float64
 	idxScratch   []int
 	matchScratch []fingerprint.Match
-	obsKeyBuf    []byte
 
-	// Optional shared per-batch distance columns (see DistCacheUser).
-	distCache *fingerprint.DistCache
 	// Optional cross-session shared-compute cache (see
 	// SharedComputeUser): likelihood cells are read from and published
-	// to the pinned snapshot's shared row.
-	shared *sharedcompute.Cache
+	// to the pinned snapshot's shared row, keyed by obsKeyBuf.
+	shared    *sharedcompute.Cache
+	obsKeyBuf []byte
 }
 
 // NewFusion creates the fusion scheme over world w and the WiFi
@@ -102,11 +100,6 @@ func NewFusion(w *world.World, m fingerprint.Map, cfg FusionConfig, rnd *rand.Ra
 
 // Name implements Scheme.
 func (f *Fusion) Name() string { return NameFusion }
-
-// SetDistCache implements DistCacheUser: rssiDev consults the shared
-// per-batch distance cache before computing its own column. Nil
-// restores local computation.
-func (f *Fusion) SetDistCache(c *fingerprint.DistCache) { f.distCache = c }
 
 // SetSharedCompute implements SharedComputeUser: weightByRSSI reads
 // and publishes per-cell likelihoods through the pinned snapshot's
@@ -289,17 +282,8 @@ func (f *Fusion) rssiDev(view fingerprint.Reader, obs rf.Vector) float64 {
 	if len(obs) < MinAPsForFix || view.Len() == 0 {
 		return 0
 	}
-	// Same column the WiFi scheme matches against: under a batch
-	// scheduler both read the one shared precomputed slice (read-only).
-	var dists []float64
-	if f.distCache != nil {
-		f.obsKeyBuf = fingerprint.AppendObsKey(f.obsKeyBuf[:0], obs)
-		dists = f.distCache.LookupKey(view, f.obsKeyBuf)
-	}
-	if dists == nil {
-		f.distScratch = fingerprint.AppendDistances(view, f.distScratch[:0], obs)
-		dists = f.distScratch
-	}
+	f.distScratch = fingerprint.AppendDistances(view, f.distScratch[:0], obs)
+	dists := f.distScratch
 	f.idxScratch = topKInto(dists, TopK, f.idxScratch[:0])
 	f.matchScratch = f.matchScratch[:0]
 	for _, j := range f.idxScratch {

@@ -13,6 +13,7 @@ package schemes
 import (
 	"repro/internal/geo"
 	"repro/internal/sensing"
+	"repro/internal/sharedcompute"
 )
 
 // Feature names shared across schemes (Table I).
@@ -75,6 +76,21 @@ type Scheme interface {
 	// Sensors lists the sensors the scheme needs powered, for energy
 	// accounting.
 	Sensors() []string
+}
+
+// SharedComputeUser is the optional Scheme extension consumed by
+// offload servers running the cross-session shared-compute cache
+// (internal/sharedcompute): schemes that memoize per-snapshot work
+// (RSSI likelihood grids, HMM state lists) read it through — and
+// publish it to — the retained entry of the snapshot they pin, instead
+// of recomputing privately per session. Every shared value is
+// canonical (a pure function of snapshot, cell, observation, and
+// scale) and every miss falls back to local computation of the same
+// float sequence, so attaching or detaching the cache can never change
+// a scheme's outputs — only the work done to produce them. Nil
+// restores fully private computation.
+type SharedComputeUser interface {
+	SetSharedCompute(*sharedcompute.Cache)
 }
 
 // FeatureVector extracts the regression features from an estimate in

@@ -44,16 +44,14 @@ type Fingerprinting struct {
 	trackerVer uint64
 	countFeat  string // FeatNumAPs or FeatNumTowers
 	sensor     string
-	calibrator *Calibrator            // optional device-heterogeneity calibration
-	distCache  *fingerprint.DistCache // optional shared per-batch columns
-	shared     *sharedcompute.Cache   // optional cross-session shared state
+	calibrator *Calibrator          // optional device-heterogeneity calibration
+	shared     *sharedcompute.Cache // optional cross-session shared state
 
 	// Per-epoch scratch, reused across Estimate calls so the match
 	// path allocates nothing proportional to the map size.
 	distScratch  []float64
 	idxScratch   []int
 	matchScratch []fingerprint.Match
-	obsKeyBuf    []byte
 }
 
 // NewWiFi creates the WiFi RADAR scheme over the given fingerprint
@@ -86,11 +84,6 @@ func NewCellular(m fingerprint.Map) *Fingerprinting {
 // SetCalibrator attaches an online device-offset calibrator (nil
 // disables calibration). See Figure 8d.
 func (f *Fingerprinting) SetCalibrator(c *Calibrator) { f.calibrator = c }
-
-// SetDistCache implements DistCacheUser: Estimate consults the shared
-// per-batch distance cache before computing its own column. Nil
-// restores local computation.
-func (f *Fingerprinting) SetDistCache(c *fingerprint.DistCache) { f.distCache = c }
 
 // SetSharedCompute implements SharedComputeUser: tracker rebuilds over
 // a pinned snapshot are counted in the cache's Trackers statistic. Nil
@@ -159,20 +152,8 @@ func (f *Fingerprinting) Estimate(snap *sensing.Snapshot) Estimate {
 	if f.calibrator != nil {
 		obs = f.calibrator.Transform(raw)
 	}
-	// A batch scheduler may have precomputed this exact column against
-	// this exact pinned view; the shared slice is read-only. Any
-	// mismatch (different view pointer after a mid-batch snapshot swap,
-	// calibrated observation, no cache) computes locally — identical
-	// floats either way.
-	var dists []float64
-	if f.distCache != nil {
-		f.obsKeyBuf = fingerprint.AppendObsKey(f.obsKeyBuf[:0], obs)
-		dists = f.distCache.LookupKey(view, f.obsKeyBuf)
-	}
-	if dists == nil {
-		f.distScratch = fingerprint.AppendDistances(view, f.distScratch[:0], obs)
-		dists = f.distScratch
-	}
+	f.distScratch = fingerprint.AppendDistances(view, f.distScratch[:0], obs)
+	dists := f.distScratch
 
 	// Raw RADAR match: the fingerprint at minimum RSSI distance, with
 	// the top-k kept for the deviation feature.

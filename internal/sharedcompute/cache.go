@@ -19,12 +19,12 @@
 // shared-compute results are Float64bits-identical to private compute
 // by construction, and two sessions racing to fill the same slot write
 // identical bits. On any miss (snapshot not pinned, row not yet
-// warmed) consumers fall back to local computation of the exact same
+// filled) consumers fall back to local computation of the exact same
 // float sequence, so correctness never depends on the cache's state.
 //
 // Lifecycle: the session manager Retains one entry per map store when
 // a session opens, migrates pins when a compaction swaps the snapshot
-// (RepinShared at epoch/batch boundaries), and Releases at close; the
+// (RepinShared at epoch boundaries), and Releases at close; the
 // last release evicts the entry, bounding residency to snapshots some
 // session actually pins. See DESIGN.md §16.
 package sharedcompute
@@ -68,9 +68,6 @@ type Stats struct {
 	// from vs missed by shared rows.
 	LikHits   int64
 	LikMisses int64
-	// RowsWarmed counts likelihood rows seeded by the batch
-	// scheduler's fused kernel ahead of session stepping.
-	RowsWarmed int64
 	// Trackers counts HMM tracker rebuilds over pinned snapshots,
 	// which adopt the snapshot's memoized positions and kernel.
 	Trackers int64
@@ -93,16 +90,14 @@ type Cache struct {
 
 	reg *telemetry.Registry
 
-	likHits    atomic.Int64
-	likMisses  atomic.Int64
-	rowsWarmed atomic.Int64
-	trackers   atomic.Int64
-	built      atomic.Int64
-	evicted    atomic.Int64
+	likHits   atomic.Int64
+	likMisses atomic.Int64
+	trackers  atomic.Int64
+	built     atomic.Int64
+	evicted   atomic.Int64
 
 	metHits     *telemetry.Counter
 	metMisses   *telemetry.Counter
-	metWarmed   *telemetry.Counter
 	metTrackers *telemetry.Counter
 	metBuilt    *telemetry.Counter
 	metEvicted  *telemetry.Counter
@@ -123,7 +118,6 @@ func NewCache(reg *telemetry.Registry) *Cache {
 		reg:         reg,
 		metHits:     reg.Counter("uniloc_sharedcompute_hits_total", "Per-cell likelihood lookups served from shared snapshot rows."),
 		metMisses:   reg.Counter("uniloc_sharedcompute_misses_total", "Per-cell likelihood lookups that fell back to local compute."),
-		metWarmed:   reg.Counter("uniloc_sharedcompute_rows_warmed_total", "Likelihood rows prewarmed by the batch scheduler's fused kernel."),
 		metTrackers: reg.Counter("uniloc_sharedcompute_tracker_shares_total", "HMM tracker rebuilds served from shared positions and neighbor lists."),
 		metBuilt:    reg.Counter("uniloc_sharedcompute_entries_built_total", "Shared-compute entries built (one per newly pinned snapshot)."),
 		metEvicted:  reg.Counter("uniloc_sharedcompute_entries_evicted_total", "Shared-compute entries evicted after their last session pin was released."),
@@ -218,12 +212,11 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	st := Stats{
-		LikHits:    c.likHits.Load(),
-		LikMisses:  c.likMisses.Load(),
-		RowsWarmed: c.rowsWarmed.Load(),
-		Trackers:   c.trackers.Load(),
-		Built:      c.built.Load(),
-		Evicted:    c.evicted.Load(),
+		LikHits:   c.likHits.Load(),
+		LikMisses: c.likMisses.Load(),
+		Trackers:  c.trackers.Load(),
+		Built:     c.built.Load(),
+		Evicted:   c.evicted.Load(),
 	}
 	if idx := c.idx.Load(); idx != nil && len(idx.entries) > 0 {
 		st.Resident = len(idx.entries)

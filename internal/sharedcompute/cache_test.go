@@ -166,39 +166,6 @@ func TestRepVecMatchesVectorAt(t *testing.T) {
 	}
 }
 
-// TestBatchKernelMatchesPrivateFormula pins the fused likelihood
-// kernel to the exact private expression: Likelihood(rf.Distance(obs,
-// rep.Vec, floor), scale), Float64bits-identical, including the
-// unknown-transmitter fallback and the rep<0 neutral value.
-func TestBatchKernelMatchesPrivateFormula(t *testing.T) {
-	db := testDB(120, 10, 3)
-	snap := mapstore.Build(db, 1, 0, nil)
-	rnd := rand.New(rand.NewSource(9))
-
-	obs := make([]rf.Vector, 0, 8)
-	for i := 0; i < 6; i++ {
-		obs = append(obs, randObs(db, rnd))
-	}
-	// Unknown transmitter forces the intern-fallback path.
-	obs = append(obs, rf.Vector{{ID: "ghost-ap", RSSI: -55}, {ID: "ap-001", RSSI: -60}})
-
-	reps := []int32{0, 3, 17, 55, int32(len(db.Points) - 1), -1}
-	const scale = 15.0
-	got := snap.CellLikelihoodsBatch(obs, reps, scale)
-	for qi, o := range obs {
-		for k, rep := range reps {
-			want := 1.0
-			if rep >= 0 {
-				d := rf.Distance(o, snap.At(int(rep)).Vec, db.Floor)
-				want = sharedcompute.Likelihood(d, scale)
-			}
-			if math.Float64bits(got[qi][k]) != math.Float64bits(want) {
-				t.Fatalf("obs %d rep %d: batch %v != private %v", qi, rep, got[qi][k], want)
-			}
-		}
-	}
-}
-
 // TestRowLookupPublish pins row semantics and the hit/miss counters.
 func TestRowLookupPublish(t *testing.T) {
 	db := testDB(64, 6, 4)
@@ -228,65 +195,6 @@ func TestRowLookupPublish(t *testing.T) {
 	st := c.Stats()
 	if st.LikHits != 1 || st.LikMisses != 1 {
 		t.Fatalf("counters: %+v", st)
-	}
-}
-
-// TestPrewarmFusion pins the prewarm contract: seeded cells carry the
-// canonical likelihood values, and a row is only warmed once.
-func TestPrewarmFusion(t *testing.T) {
-	db := testDB(100, 8, 5)
-	snap := mapstore.Build(db, 1, 0, nil)
-	c := sharedcompute.NewCache(nil)
-	e := c.Retain(snap, "wifi")
-	defer c.Release(e)
-
-	rnd := rand.New(rand.NewSource(11))
-	obs := []rf.Vector{randObs(db, rnd), randObs(db, rnd)}
-	keys := []string{fingerprint.ObsKey(obs[0]), fingerprint.ObsKey(obs[1])}
-	cols := snap.AppendDistancesBatch(obs)
-
-	const scale = 15.0
-	if n := e.PrewarmFusion(obs, keys, cols, scale); n != 2 {
-		t.Fatalf("first prewarm warmed %d rows, want 2", n)
-	}
-	if n := e.PrewarmFusion(obs, keys, cols, scale); n != 0 {
-		t.Fatalf("second prewarm redid %d rows, want 0", n)
-	}
-	if st := c.Stats(); st.RowsWarmed != 2 {
-		t.Fatalf("RowsWarmed = %d, want 2", st.RowsWarmed)
-	}
-
-	// Every seeded cell must hold exactly the private formula's value.
-	for i, o := range obs {
-		row := e.Row(scale, []byte(keys[i]))
-		best := 0
-		for j, d := range cols[i] {
-			if d < cols[i][best] {
-				best = j
-			}
-		}
-		c0 := sharedcompute.CellFor(snap.At(best).Pos, e.CellM())
-		checked := 0
-		for dx := int32(-2); dx <= 2; dx++ {
-			for dy := int32(-2); dy <= 2; dy++ {
-				cell := sharedcompute.Cell{X: c0.X + dx, Y: c0.Y + dy}
-				v, ok := row.Lookup(cell)
-				if !ok {
-					continue
-				}
-				want := 1.0
-				if vec, okRep := e.RepVec(cell); okRep {
-					want = sharedcompute.Likelihood(rf.Distance(o, vec, db.Floor), scale)
-				}
-				if math.Float64bits(v) != math.Float64bits(want) {
-					t.Fatalf("obs %d cell %v: warmed %v != private %v", i, cell, v, want)
-				}
-				checked++
-			}
-		}
-		if checked == 0 {
-			t.Fatalf("obs %d: prewarm seeded no cells", i)
-		}
 	}
 }
 

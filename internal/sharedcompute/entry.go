@@ -97,22 +97,6 @@ func (e *Entry) Row(scale float64, key []byte) *LikRow {
 	return e.makeRow(bits, string(key))
 }
 
-// rowString is Row for callers that already hold a string key (the
-// prewarm path).
-func (e *Entry) rowString(scale float64, key string) *LikRow {
-	bits := math.Float64bits(scale)
-	e.rowMu.RLock()
-	var r *LikRow
-	if inner := e.rows[bits]; inner != nil {
-		r = inner[key]
-	}
-	e.rowMu.RUnlock()
-	if r != nil {
-		return r
-	}
-	return e.makeRow(bits, key)
-}
-
 func (e *Entry) makeRow(bits uint64, key string) *LikRow {
 	e.rowMu.Lock()
 	defer e.rowMu.Unlock()
@@ -136,14 +120,13 @@ func (e *Entry) makeRow(bits uint64, key string) *LikRow {
 // scale, observation) triple — exactly the values a session's private
 // likMemo would hold for the same pass, minus any session dependence.
 type LikRow struct {
-	cache  *Cache
-	mu     sync.RWMutex
-	cells  map[Cell]float64
-	warmed bool
+	cache *Cache
+	mu    sync.RWMutex
+	cells map[Cell]float64
 }
 
 // Lookup returns the shared likelihood for one cell. A miss means no
-// session (and no prewarm) has touched the cell yet: the caller
+// session has touched the cell yet: the caller
 // computes locally and Publishes.
 func (r *LikRow) Lookup(cell Cell) (float64, bool) {
 	r.mu.RLock()
@@ -166,84 +149,4 @@ func (r *LikRow) Publish(cell Cell, v float64) {
 	r.mu.Lock()
 	r.cells[cell] = v
 	r.mu.Unlock()
-}
-
-// markWarming claims the row for prewarming; only the first caller per
-// row gets true, so repeated batches containing the same observation
-// don't redo the kernel work.
-func (r *LikRow) markWarming() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.warmed {
-		return false
-	}
-	r.warmed = true
-	return true
-}
-
-// PrewarmFusion seeds likelihood rows for a batch's unique WiFi
-// observations before sessions step: for each row not yet warmed, the
-// cells within warmRadius of the observation's best-matching
-// fingerprint (argmin of its distance column — a heuristic anchor
-// only; the values themselves stay canonical) are evaluated through
-// the snapshot's fused CellLikelihoodsBatch kernel in one rep-major
-// pass and published. obs/keys/cols are parallel: the unique
-// observations, their AppendObsKey encodings, and their
-// AppendDistancesBatch columns. Returns the number of rows warmed.
-func (e *Entry) PrewarmFusion(obs []rf.Vector, keys []string, cols [][]float64, scale float64) int {
-	const warmRadius = 2
-	var warmObs []rf.Vector
-	var warmRows []*LikRow
-	cellSet := make(map[Cell]struct{}, 64)
-	for i, o := range obs {
-		if len(cols[i]) == 0 {
-			continue
-		}
-		r := e.rowString(scale, keys[i])
-		if !r.markWarming() {
-			continue
-		}
-		warmObs = append(warmObs, o)
-		warmRows = append(warmRows, r)
-		best := 0
-		for j, d := range cols[i] {
-			if d < cols[i][best] {
-				best = j
-			}
-		}
-		c0 := CellFor(e.snap.At(best).Pos, e.cellM)
-		for dx := int32(-warmRadius); dx <= warmRadius; dx++ {
-			for dy := int32(-warmRadius); dy <= warmRadius; dy++ {
-				cellSet[Cell{X: c0.X + dx, Y: c0.Y + dy}] = struct{}{}
-			}
-		}
-	}
-	if len(warmRows) == 0 {
-		return 0
-	}
-	cells := make([]Cell, 0, len(cellSet))
-	for c := range cellSet {
-		cells = append(cells, c)
-	}
-	reps := make([]int32, len(cells))
-	for k, c := range cells {
-		idx, ok := e.repIdx(c)
-		if !ok {
-			idx = -1
-		}
-		reps[k] = idx
-	}
-	lik := e.snap.CellLikelihoodsBatch(warmObs, reps, scale)
-	for qi, r := range warmRows {
-		r.mu.Lock()
-		for k, c := range cells {
-			if _, ok := r.cells[c]; !ok {
-				r.cells[c] = lik[qi][k]
-			}
-		}
-		r.mu.Unlock()
-	}
-	e.cache.rowsWarmed.Add(int64(len(warmRows)))
-	e.cache.metWarmed.Add(int64(len(warmRows)))
-	return len(warmRows)
 }

@@ -102,8 +102,6 @@ func TestEpochSpansSynthesizesTree(t *testing.T) {
 	e := NewEpochSpans(tr, "sess-1")
 	parent := SpanContext{Trace: tr.NewTraceID(), Span: tr.NewSpanID()}
 	e.SetParent(parent)
-	batch := SpanContext{Trace: tr.NewTraceID(), Span: tr.NewSpanID()}
-	e.SetBatch(batch, 9)
 
 	start := time.Now().Add(-time.Millisecond)
 	e.ObserveEpoch(&telemetry.EpochTrace{
@@ -149,10 +147,6 @@ func TestEpochSpansSynthesizesTree(t *testing.T) {
 		}
 		return m
 	}
-	sa := attrs(step)
-	if sa["batch_trace"] != batch.Trace.String() || sa["batch_tick"] != int64(9) {
-		t.Errorf("batch link attrs = %+v", sa)
-	}
 	cl := byName["classify"]
 	if cl == nil || cl.StartNS != wantBase || cl.DurNS != 100 || cl.Parent != step.Span {
 		t.Errorf("classify = %+v", cl)
@@ -183,6 +177,12 @@ func TestEpochSpansSynthesizesTree(t *testing.T) {
 	if byName["fallback"] != nil {
 		t.Error("ok epoch must not emit fallback span")
 	}
+	// The tracer's own synthesis time is a sibling of step under the
+	// frame, starting where the step ends.
+	obs := byName["trace.observe"]
+	if obs == nil || obs.Parent != parent.Span.String() || obs.StartNS != wantBase+1000 || obs.DurNS < 0 {
+		t.Errorf("trace.observe = %+v", obs)
+	}
 
 	// All of it assembles into one complete tree when the frame root is
 	// present too.
@@ -203,7 +203,6 @@ func TestEpochSpansSynthesizesTree(t *testing.T) {
 func TestEpochSpansFallbackAndNilSafety(t *testing.T) {
 	var e *EpochSpans
 	e.SetParent(SpanContext{}) // must not panic
-	e.SetBatch(SpanContext{}, 0)
 
 	tr := New(Config{Seed: 7})
 	eb := NewEpochSpans(tr, "s")

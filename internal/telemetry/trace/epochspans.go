@@ -7,25 +7,20 @@ import (
 // EpochSpans bridges the framework's existing telemetry.Observer hook
 // into span records: one ObserveEpoch call becomes a "step" span with
 // "classify", one "scheme.<name>" child per scheme, "combine", and
-// (on degraded epochs) a "fallback" marker. The framework itself
-// stays tracer-agnostic — with no observer attached, Step takes no
+// (on degraded epochs) a "fallback" marker, plus — under a parent — a
+// "trace.observe" sibling timing the synthesis itself. The framework
+// itself stays tracer-agnostic — with no observer attached, Step takes no
 // timestamps and allocates nothing, exactly as before; the spans are
 // synthesized here from the durations the trace already carries.
 //
 // The serving goroutine parents each epoch by calling SetParent with
-// the frame span's context before Step, and the batch scheduler links
-// the epoch to its tick via SetBatch. Both writes happen-before the
-// Step that consumes them (a framework is driven by one goroutine at
-// a time; the batch scheduler's channel handoff orders the rest), so
-// EpochSpans needs no locking.
+// the frame span's context before Step. That write happens-before the
+// Step that consumes it (a framework is driven by one goroutine at a
+// time), so EpochSpans needs no locking.
 type EpochSpans struct {
 	t       *Tracer
 	session string
-
-	parent    SpanContext // frame span; zero = each epoch is its own root
-	batch     SpanContext // batch tick span, when batched
-	batchTick int64
-	hasBatch  bool
+	parent  SpanContext // frame span; zero = each epoch is its own root
 }
 
 // NewEpochSpans builds the bridge. A nil tracer yields a bridge whose
@@ -41,14 +36,6 @@ func NewEpochSpans(t *Tracer, session string) *EpochSpans {
 func (e *EpochSpans) SetParent(ctx SpanContext) {
 	if e != nil {
 		e.parent = ctx
-	}
-}
-
-// SetBatch links subsequent epochs to a batch tick span. Clear by
-// passing the zero context. Nil-safe.
-func (e *EpochSpans) SetBatch(ctx SpanContext, tick int64) {
-	if e != nil {
-		e.batch, e.batchTick, e.hasBatch = ctx, tick, ctx.Valid()
 	}
 }
 
@@ -75,14 +62,6 @@ func (e *EpochSpans) ObserveEpoch(tr *telemetry.EpochTrace) {
 	step.Attr("ok", tr.OK)
 	if tr.Best != "" {
 		step.Attr("best", tr.Best)
-	}
-	if e.hasBatch {
-		// Cross-trace link: the batch tick span aggregates many
-		// sessions' epochs, each in its own trace, so the relationship
-		// travels as attributes rather than as a parent edge.
-		step.Attr("batch_trace", e.batch.Trace.String())
-		step.Attr("batch_span", e.batch.Span.String())
-		step.Attr("batch_tick", e.batchTick)
 	}
 	stepCtx := step.Context()
 
@@ -129,4 +108,19 @@ func (e *EpochSpans) ObserveEpoch(tr *telemetry.EpochTrace) {
 		child("fallback", end, 0, nil)
 	}
 	step.EndNS(end)
+	if e.parent.Valid() {
+		// Synthesizing the spans above is tracer work the step span does
+		// not cover; it becomes a "trace.observe" sibling of step, so the
+		// frame's time stays accounted for and the tracer's own cost
+		// shows per epoch.
+		t.Emit(&Record{
+			Trace:   e.parent.Trace.String(),
+			Span:    t.NewSpanID().String(),
+			Parent:  e.parent.Span.String(),
+			Name:    "trace.observe",
+			Session: e.session,
+			StartNS: end,
+			DurNS:   t.Now() - end,
+		})
+	}
 }

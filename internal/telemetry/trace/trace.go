@@ -3,7 +3,8 @@
 // metrics registry (internal/telemetry) answers "how is the fleet
 // doing in aggregate", a trace answers "why was *this* client's epoch
 // slow" — one tree of timed spans per request, from the phone's upload
-// through the server's batch tick down to each localization scheme.
+// through the server's frame and step down to each localization
+// scheme.
 //
 // Design constraints, in order:
 //
@@ -131,7 +132,7 @@ type Record struct {
 func (r *Record) End() int64 { return r.StartNS + r.DurNS }
 
 // Exporter receives every completed span. Implementations must be
-// safe for concurrent use (spans complete on serving goroutines, batch
+// safe for concurrent use (spans complete on serving goroutines, scheme
 // workers, and the client's goroutine alike) and must never block for
 // long — they run synchronously on the recording path.
 type Exporter interface {
