@@ -25,6 +25,45 @@ func RectPoly(x0, y0, x1, y1 float64) Polygon {
 const containsPad = 1e-6
 
 // Contains reports whether p lies inside the polygon (boundary points
+// count as inside, within 1e-9), using the ray-crossing rule. It is
+// Boxed().Contains(p): the bounding box is rebuilt per call (a few
+// compares per vertex) rather than cached, because polygons are plain
+// values whose vertices callers may edit. A caller testing many points
+// against one unchanging polygon builds the Boxed once instead.
+func (pg Polygon) Contains(p Point) bool {
+	b := pg.Boxed()
+	return b.Contains(p)
+}
+
+// Boxed is a polygon with the vertex bounding box its Contains and
+// Excludes reject on, computed once by Polygon.Boxed. It holds the
+// polygon's vertex slice, not a copy: an edit to the vertices after
+// Boxed leaves the box stale, so build a new Boxed after editing.
+type Boxed struct {
+	Poly                   Polygon
+	minX, maxX, minY, maxY float64
+	// finite is false with fewer than 3 vertices, or with a NaN or
+	// infinite vertex (builtin min/max carry a NaN into the box).
+	finite bool
+}
+
+// Boxed returns the polygon with its vertex bounding box.
+func (pg Polygon) Boxed() Boxed {
+	b := Boxed{Poly: pg}
+	if len(pg.Vertices) < 3 {
+		return b
+	}
+	v0 := pg.Vertices[0]
+	b.minX, b.maxX, b.minY, b.maxY = v0.X, v0.X, v0.Y, v0.Y
+	for _, v := range pg.Vertices[1:] {
+		b.minX, b.maxX = min(b.minX, v.X), max(b.maxX, v.X)
+		b.minY, b.maxY = min(b.minY, v.Y), max(b.maxY, v.Y)
+	}
+	b.finite = b.maxX-b.minX+b.maxY-b.minY < math.Inf(1)
+	return b
+}
+
+// Contains reports whether p lies inside the polygon (boundary points
 // count as inside, within 1e-9), using the ray-crossing rule.
 //
 // The answer is boundary || ray, evaluated cheapest first, and is the
@@ -39,25 +78,22 @@ const containsPad = 1e-6
 //   - Inside the box the ray test runs next, and the per-edge distance
 //     test only when it says outside.
 //
-// The box is rebuilt per call (a few compares per vertex) rather than
-// cached, because polygons are plain values whose vertices callers may
-// edit. A polygon with a NaN or infinite vertex, where the parity
-// argument fails, gets no box (builtin min/max carry the NaN into it)
-// and takes the full tests as before.
-func (pg Polygon) Contains(p Point) bool {
-	n := len(pg.Vertices)
+// A polygon with a NaN or infinite vertex, where the parity argument
+// fails, has no finite box and takes the full tests.
+func (b *Boxed) Contains(p Point) bool {
+	vs := b.Poly.Vertices
+	n := len(vs)
 	if n < 3 {
 		return false
 	}
-	minX, maxX, minY, maxY, finite := pg.vertexBounds()
-	if finite && (p.X < minX-containsPad || p.X > maxX+containsPad ||
-		p.Y < minY-containsPad || p.Y > maxY+containsPad) {
+	if b.finite && (p.X < b.minX-containsPad || p.X > b.maxX+containsPad ||
+		p.Y < b.minY-containsPad || p.Y > b.maxY+containsPad) {
 		return false
 	}
 	inside := false
 	j := n - 1
 	for i := 0; i < n; i++ {
-		vi, vj := pg.Vertices[i], pg.Vertices[j]
+		vi, vj := vs[i], vs[j]
 		if (vi.Y > p.Y) != (vj.Y > p.Y) {
 			xCross := (vj.X-vi.X)*(p.Y-vi.Y)/(vj.Y-vi.Y) + vi.X
 			if p.X < xCross {
@@ -70,7 +106,7 @@ func (pg Polygon) Contains(p Point) bool {
 		return true
 	}
 	for i := 0; i < n; i++ {
-		s := Segment{pg.Vertices[i], pg.Vertices[(i+1)%n]}
+		s := Segment{vs[i], vs[(i+1)%n]}
 		if s.DistTo(p) < 1e-9 {
 			return true
 		}
@@ -84,27 +120,13 @@ func (pg Polygon) Contains(p Point) bool {
 // comparison, on the same computed bound, that Contains makes first.
 // A false answer promises nothing. A box with a NaN bound is never
 // excluded (a NaN comparison is false), and a polygon with a NaN or
-// infinite vertex excludes nothing, as it gets no box in Contains.
-func (pg Polygon) Excludes(box Rect) bool {
-	if len(pg.Vertices) < 3 {
+// infinite vertex excludes nothing, as it has no finite box.
+func (b *Boxed) Excludes(box Rect) bool {
+	if len(b.Poly.Vertices) < 3 {
 		return true
 	}
-	minX, maxX, minY, maxY, finite := pg.vertexBounds()
-	return finite && (box.Max.X < minX-containsPad || box.Min.X > maxX+containsPad ||
-		box.Max.Y < minY-containsPad || box.Min.Y > maxY+containsPad)
-}
-
-// vertexBounds returns the vertices' bounding box, and whether it is
-// finite (false with a NaN or infinite vertex: builtin min/max carry a
-// NaN into the box). The polygon must have a vertex.
-func (pg Polygon) vertexBounds() (minX, maxX, minY, maxY float64, finite bool) {
-	v0 := pg.Vertices[0]
-	minX, maxX, minY, maxY = v0.X, v0.X, v0.Y, v0.Y
-	for _, v := range pg.Vertices[1:] {
-		minX, maxX = min(minX, v.X), max(maxX, v.X)
-		minY, maxY = min(minY, v.Y), max(maxY, v.Y)
-	}
-	return minX, maxX, minY, maxY, maxX-minX+maxY-minY < math.Inf(1)
+	return b.finite && (box.Max.X < b.minX-containsPad || box.Min.X > b.maxX+containsPad ||
+		box.Max.Y < b.minY-containsPad || box.Min.Y > b.maxY+containsPad)
 }
 
 // Area returns the unsigned area of the polygon.

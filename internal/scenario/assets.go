@@ -83,6 +83,11 @@ func (a *Assets) Schemes(rnd *rand.Rand) []schemes.Scheme {
 // Each stream runs over a counting prng.Source (output bit-identical
 // to the plain stdlib source it wraps), so the randomized schemes are
 // snapshotable for cross-node session migration.
+//
+// The WiFi and fusion schemes share their RSSI deviation feature
+// (schemes.ShareRSSIDev), so the WiFi distance column is built once
+// per epoch, not twice; the outputs are bit-identical to unlinked
+// schemes.
 func (a *Assets) SchemesOver(wifiMap, cellMap fingerprint.Map, rnd *rand.Rand) []schemes.Scheme {
 	pdrSrc := prng.New(rnd.Int63())
 	fusionSrc := prng.New(rnd.Int63())
@@ -90,9 +95,11 @@ func (a *Assets) SchemesOver(wifiMap, cellMap fingerprint.Map, rnd *rand.Rand) [
 	pdr.TrackSource(pdrSrc)
 	fusion := schemes.NewFusion(a.Place.World, wifiMap, schemes.DefaultFusionConfig(), rand.New(fusionSrc))
 	fusion.TrackSource(fusionSrc)
+	wifi := schemes.NewWiFi(wifiMap)
+	schemes.ShareRSSIDev(wifi, fusion)
 	return []schemes.Scheme{
 		schemes.NewGPS(a.Place.World.Proj),
-		schemes.NewWiFi(wifiMap),
+		wifi,
 		schemes.NewCellular(cellMap),
 		pdr,
 		fusion,

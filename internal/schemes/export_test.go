@@ -3,7 +3,9 @@ package schemes
 import (
 	"math/rand"
 
+	"repro/internal/fingerprint"
 	"repro/internal/particle"
+	"repro/internal/rf"
 	"repro/internal/sensing"
 )
 
@@ -28,5 +30,26 @@ func Propagate(s Scheme, snap *sensing.Snapshot) {
 		s.propagate(snap)
 	default:
 		panic("schemes: not a particle-filter scheme")
+	}
+}
+
+// DevMemoHolds reports whether fusion's RSSI deviation memo holds a
+// value for view and scan, i.e. whether its next rssiDev over them is
+// a hit.
+func DevMemoHolds(f *Fusion, view fingerprint.Reader, scan rf.Vector) bool {
+	_, ok := f.dev.get(view, scan)
+	return ok
+}
+
+// UnshareRSSIDev detaches every WiFi and fusion scheme in ss from its
+// deviation memo, so each computes the feature privately.
+func UnshareRSSIDev(ss []Scheme) {
+	for _, s := range ss {
+		switch s := s.(type) {
+		case *Fingerprinting:
+			s.dev = nil
+		case *Fusion:
+			s.dev = nil
+		}
 	}
 }

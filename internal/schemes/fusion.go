@@ -51,7 +51,11 @@ func DefaultFusionConfig() FusionConfig {
 //
 // Like Fingerprinting, it reads the radio map through fingerprint.Map
 // and pins one View per Estimate, so it works identically over a
-// private database or a shared versioned store.
+// private database or a shared versioned store. Its RSSI deviation
+// feature is the WiFi scheme's β₂ over the same view and scan; linked
+// to that scheme (ShareRSSIDev, as scenario.Assets.SchemesOver does),
+// it reads the value WiFi computed this epoch instead of rebuilding the
+// distance column, and computes it itself only when WiFi's key differs.
 type Fusion struct {
 	cfg FusionConfig
 	w   *world.World
@@ -80,7 +84,9 @@ type Fusion struct {
 	// under the cloud). Cleared every pass; see weightByRSSI.
 	likMemo map[sharedcompute.Cell]float64
 
-	// Per-epoch scratch for the rssiDev feature.
+	// The WiFi scheme's deviation memo (ShareRSSIDev; nil = none), and
+	// per-epoch scratch for computing the rssiDev feature on a miss.
+	dev          *devMemo
 	distScratch  []float64
 	idxScratch   []int
 	matchScratch []fingerprint.Match
@@ -274,13 +280,18 @@ func cellLikelihood(entry *sharedcompute.Entry, view fingerprint.Reader, obs rf.
 	return sharedcompute.Likelihood(d, scale)
 }
 
-// rssiDev computes the top-k RSSI distance deviation against the
-// database for the (insignificant, per the paper) β feature. Scratch
-// buffers are reused across epochs, so the feature costs no O(map)
-// allocations.
+// rssiDev returns the top-k RSSI distance deviation against the
+// database for the (insignificant, per the paper) β feature. It is the
+// value the WiFi scheme computed for the same view and scan this epoch
+// when the deviation memo holds it; otherwise it computes the value the
+// same way WiFi does. Scratch buffers are reused across epochs, so the
+// feature costs no O(map) allocations either way.
 func (f *Fusion) rssiDev(view fingerprint.Reader, obs rf.Vector) float64 {
 	if len(obs) < MinAPsForFix || view.Len() == 0 {
 		return 0
+	}
+	if d, ok := f.dev.get(view, obs); ok {
+		return d
 	}
 	f.distScratch = fingerprint.AppendDistances(view, f.distScratch[:0], obs)
 	dists := f.distScratch

@@ -146,8 +146,8 @@ func (p *PDR) RestoreState(b []byte) error {
 }
 
 // AppendState implements StateCodec for the fusion scheme. The
-// density and likelihood caches are pure memoization over the pinned
-// map view — they are rebuilt, not shipped.
+// density and likelihood caches and the deviation memo are pure
+// memoization over the pinned map view — they are rebuilt, not shipped.
 func (f *Fusion) AppendState(dst []byte) ([]byte, error) {
 	if f.src == nil {
 		return nil, fmt.Errorf("schemes: fusion RNG stream is untracked; wire prng.Source via TrackSource")

@@ -46,6 +46,7 @@ type Fingerprinting struct {
 	sensor     string
 	calibrator *Calibrator          // optional device-heterogeneity calibration
 	shared     *sharedcompute.Cache // optional cross-session shared state
+	dev        *devMemo             // β₂ handed to fusion (ShareRSSIDev); nil = none
 
 	// Per-epoch scratch, reused across Estimate calls so the match
 	// path allocates nothing proportional to the map size.
@@ -175,9 +176,11 @@ func (f *Fingerprinting) Estimate(snap *sensing.Snapshot) Estimate {
 	// HMM-predicted location for the density feature.
 	pred := f.tracker.Update(dists)
 
+	dev := fingerprint.TopKDeviation(matches)
+	f.dev.put(view, obs, dev)
 	feats := map[string]float64{
 		FeatFPDensity: view.DensityAround(pred, 3),
-		FeatRSSIDev:   fingerprint.TopKDeviation(matches),
+		FeatRSSIDev:   dev,
 		f.countFeat:   float64(len(obs)),
 	}
 	return Estimate{Pos: view.At(best).Pos, OK: true, Features: feats}

@@ -190,7 +190,8 @@ func cloudMoves(rng *rand.Rand, w *world.World, c geo.Point, width float64, kind
 // over 1e6 moves in every scenario place and a synthetic world with
 // oblique and zero-length walls, clouds 1e-9 m to whole-map wide,
 // centred at random or on wall lines, with endpoints on wall lines,
-// axis-parallel and collinear moves, and NaN/±Inf coordinates.
+// axis-parallel and collinear moves, and NaN/±Inf coordinates. It then
+// edits regions in place between two Near calls (checkEditedRegions).
 func TestConstraintMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	worlds := []*world.World{obliqueWorld(rng)}
@@ -243,4 +244,75 @@ func TestConstraintMatchesReference(t *testing.T) {
 	if blocked < checked/10 || blocked > checked*9/10 || crossed < checked/100 {
 		t.Fatalf("%d of %d moves blocked, %d by a wall: the probe mix is lopsided", blocked, checked, crossed)
 	}
+	checkEditedRegions(t, rng, &near)
+}
+
+// checkEditedRegions moves each finite region of a synthetic world and
+// of the campus in place, by shifting its vertices, between two Near
+// calls over one box, and holds Blocks to BlocksMotion on both sides
+// of the edit. Near keeps each region's vertex box for Blocks, so a box
+// kept from before the edit would reject the points the region newly
+// covers; the test requires moves that only the moved region admits.
+func checkEditedRegions(t *testing.T, rng *rand.Rand, near *world.Constraint) {
+	t.Helper()
+	in := func(r geo.Rect) geo.Point {
+		return geo.Pt(r.Min.X+rng.Float64()*r.Width(), r.Min.Y+rng.Float64()*r.Height())
+	}
+	revealing := 0
+	for _, w := range []*world.World{obliqueWorld(rng), scenario.Campus().World} {
+		for i := range w.Regions {
+			pg := w.Regions[i].Poly
+			old := pg.Bounds()
+			if len(pg.Vertices) < 3 || math.IsInf(old.Width()+old.Height(), 0) {
+				continue
+			}
+			shift := geo.Pt(0.75*old.Width(), 0.25*old.Height())
+			area := old.Union(geo.Rect{Min: old.Min.Add(shift), Max: old.Max.Add(shift)})
+			ms := make([]move, 200)
+			for k := range ms {
+				a := in(area)
+				ms[k] = move{a, a.Add(geo.FromHeading(rng.Float64() * 2 * math.Pi).Scale(0.7))}
+				if !area.Contains(ms[k].b) {
+					ms[k].b = in(area)
+				}
+			}
+			box := cloudBox(ms)
+			for edit := 0; edit < 2; edit++ {
+				if edit == 1 {
+					for k := range pg.Vertices {
+						pg.Vertices[k] = pg.Vertices[k].Add(shift)
+					}
+				}
+				near.Near(w, box)
+				for _, m := range ms {
+					got, want := near.Blocks(m.a, m.b), w.BlocksMotion(m.a, m.b)
+					if got != want {
+						t.Fatalf("%s: region %d edited %d times: move %v → %v: Blocks = %v, reference %v", w.Name, i, edit, m.a, m.b, got, want)
+					}
+					if edit == 1 && !want && !old.Expand(1e-6).Contains(m.b) && onlyRegion(w, m.b) == i {
+						revealing++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("edited regions: %d moves admitted only by a region moved beyond its old box", revealing)
+	if revealing < 100 {
+		t.Fatalf("only %d moves depend on an edited region's new box", revealing)
+	}
+}
+
+// onlyRegion returns the index of the one region of w containing p, or
+// -1 when none or several do.
+func onlyRegion(w *world.World, p geo.Point) int {
+	found := -1
+	for i := range w.Regions {
+		if w.Regions[i].Poly.Contains(p) {
+			if found >= 0 {
+				return -1
+			}
+			found = i
+		}
+	}
+	return found
 }

@@ -239,15 +239,18 @@ func (w *World) PenetrationAt(p geo.Point) float64 {
 // its cloud tests each move against a few candidates instead of the
 // whole world. The zero value is ready for Near; its lists are reused.
 type Constraint struct {
-	regions []geo.Polygon // regions whose Contains may hold in the box, in world order
+	regions []geo.Boxed   // regions whose Contains may hold in the box, in world order, with their boxes
 	walls   []geo.Segment // walls a move inside the box may cross, in world order
 }
 
 // Near sets c to w's constraint for moves whose endpoints both lie in
 // box. Both exclusions are exact, so for every such move Blocks answers
 // what testing against every region and wall of w answers:
-//   - A region is dropped when geo.Polygon.Excludes the box: Contains
-//     is then false at every point of it.
+//   - A region is dropped when geo.Boxed.Excludes the box: Contains
+//     is then false at every point of it. A kept region keeps the
+//     vertex box just built, so Blocks does not rebuild it per move;
+//     it is rebuilt on every Near, so edits made to w between Near
+//     calls are seen.
 //   - A wall with A.Y == B.Y == c is dropped when c lies outside the
 //     box's y-range: both ends of the move lie strictly on one side of
 //     c, so geo.Segment.Intersects is false (DESIGN.md §18). Likewise
@@ -257,7 +260,7 @@ type Constraint struct {
 func (c *Constraint) Near(w *World, box geo.Rect) {
 	c.regions = c.regions[:0]
 	for i := range w.Regions {
-		if pg := w.Regions[i].Poly; !pg.Excludes(box) {
+		if pg := w.Regions[i].Poly.Boxed(); !pg.Excludes(box) {
 			c.regions = append(c.regions, pg)
 		}
 	}
