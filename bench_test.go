@@ -296,7 +296,7 @@ func BenchmarkOffloadEncode(b *testing.B) {
 		}
 		offload.EncodeVector(snap.WiFi)
 		offload.EncodeVector(snap.Cell)
-		offload.EncodeContext(snap)
+		offload.EncodeContextSeq(snap, 0)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Command uniloc-router fronts a uniloc-server cluster (DESIGN.md
 // §15): it consistent-hashes each connecting phone's client ID onto
 // one of the configured backends and splices the offload protocol
-// through untouched (v2–v5, span context included), so the cluster
+// through untouched (span context included), so the cluster
 // looks like one big server to every client. Each backend owns a
 // stable shard of client IDs; when one dies, only its clients
 // re-route — everyone else keeps their node and their server-side
-// session, which is what lets protocol v4 sequence-resume survive
+// session, which is what lets sequence-numbered resume survive
 // node failures.
 //
 // Backends are marked down passively (dial failure) and, with

@@ -6,12 +6,11 @@
 // connection gets its own framework instance, so any number of phones
 // can walk concurrently without sharing localization state.
 //
-// With -shared-map (the default), the WiFi and cellular fingerprint
-// databases live in versioned mapstore.Stores: every session reads the
-// same indexed snapshot instead of scanning a private copy, and — with
-// -ingest — clients may contribute crowdsourced survey points
-// (MsgSurvey, protocol v3) that a background compactor folds into new
-// snapshot versions without pausing readers.
+// The WiFi and cellular fingerprint databases live in versioned
+// mapstore.Stores: every session reads the same indexed snapshot, and —
+// with -ingest — clients may contribute crowdsourced survey points
+// (MsgSurvey) that a background compactor folds into new snapshot
+// versions without pausing readers.
 //
 // With -metrics-addr set, a second HTTP listener exposes the
 // telemetry registry (RED metrics: sessions, epochs, frame bytes,
@@ -44,7 +43,7 @@
 //
 // With -trace, every served epoch becomes a span tree — server.frame
 // with read/step/trace.observe/write children and per-scheme spans,
-// joined to the client's trace when the phone speaks protocol v5 —
+// joined to the client's trace when the phone sends a span context —
 // browsable at /debug/traces on the metrics listener, with the slowest
 // frames kept as exemplars. -trace-jsonl streams every span to a file for offline
 // analysis with uniloc-trace; -pprof-labels additionally labels CPU
@@ -84,12 +83,11 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "evict sessions idle this long (0 = never)")
 	epochTimeout := flag.Duration("epoch-timeout", 30*time.Second, "per-epoch protocol deadline; a session that stalls mid-exchange longer than this is evicted (0 = never)")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "log session stats this often (0 = never)")
-	sharedMap := flag.Bool("shared-map", true, "serve all sessions from shared indexed map stores instead of per-session database scans")
-	ingest := flag.Bool("ingest", false, "accept crowdsourced survey submissions (MsgSurvey) into the shared map stores (requires -shared-map)")
+	ingest := flag.Bool("ingest", false, "accept crowdsourced survey submissions (MsgSurvey) into the shared map stores")
 	rebuildBatch := flag.Int("rebuild-batch", 256, "pending survey points that trigger a background snapshot rebuild")
 	rebuildEvery := flag.Duration("rebuild-every", 30*time.Second, "also rebuild snapshots on this timer so trickles land (0 = batch-only)")
 	stepWorkers := flag.Int("step-workers", 0, "per-session scheme-execution workers (core.WithParallel); <= 1 runs schemes sequentially, results are bit-identical either way")
-	sharedCompute := flag.Bool("shared-compute", true, "share version-keyed likelihood rows and HMM neighbor lists across sessions (requires -shared-map; results stay bit-identical to private compute)")
+	sharedCompute := flag.Bool("shared-compute", true, "share version-keyed likelihood rows and HMM neighbor lists across sessions (results stay bit-identical to private compute)")
 	traceOn := flag.Bool("trace", false, "span-trace every served epoch; browse at /debug/traces on -metrics-addr")
 	traceRing := flag.Int("trace-ring", 4096, "spans kept in the in-memory trace ring (rounded up to a power of two)")
 	traceJSONL := flag.String("trace-jsonl", "", "also append every span as JSON lines to this file (implies -trace)")
@@ -97,8 +95,8 @@ func main() {
 	traceWindow := flag.Duration("trace-window", time.Minute, "exemplar rotation window")
 	pprofLabels := flag.Bool("pprof-labels", false, "label CPU profile samples with session and scheme (small per-epoch allocation cost)")
 	drainGrace := flag.Duration("drain-grace", 0, "on SIGTERM/SIGINT, stop accepting and let in-flight sessions finish their current epoch for up to this long before force-closing (0 = close immediately)")
-	replListen := flag.String("replicate-listen", "", "lead a replication group: stream map-store compaction deltas to followers subscribing on this address (requires -shared-map)")
-	replFrom := flag.String("replicate-from", "", "follow a replication leader: comma-separated candidate addresses, tried in order on every (re)connect (requires -shared-map; local compaction is disabled, surveys are forwarded upstream)")
+	replListen := flag.String("replicate-listen", "", "lead a replication group: stream map-store compaction deltas to followers subscribing on this address")
+	replFrom := flag.String("replicate-from", "", "follow a replication leader: comma-separated candidate addresses, tried in order on every (re)connect (local compaction is disabled, surveys are forwarded upstream)")
 	standby := flag.Bool("standby", false, "with -replicate-from: retain the leader's delta history, buffer surveys across a leader outage, and promote to replication leader on SIGUSR1, serving followers on -replicate-listen")
 	handoffListen := flag.String("handoff-listen", "", "join the session-handoff mesh: serve shipped session states and peer fetches on this address")
 	handoffPeers := flag.String("handoff-peers", "", "comma-separated handoff addresses of the other cluster nodes: ship every session's post-epoch state to them, fetch unknown resumed sessions from them")
@@ -112,7 +110,6 @@ func main() {
 		idleTimeout:   *idleTimeout,
 		epochTimeout:  *epochTimeout,
 		statsEvery:    *statsEvery,
-		sharedMap:     *sharedMap,
 		ingest:        *ingest,
 		rebuildBatch:  *rebuildBatch,
 		rebuildEvery:  *rebuildEvery,
@@ -146,7 +143,6 @@ type serverOpts struct {
 	idleTimeout       time.Duration
 	epochTimeout      time.Duration
 	statsEvery        time.Duration
-	sharedMap         bool
 	ingest            bool
 	rebuildBatch      int
 	rebuildEvery      time.Duration
@@ -174,9 +170,6 @@ func run(opts serverOpts) error {
 	}
 	if opts.standby && (opts.replFrom == "" || opts.replListen == "") {
 		return fmt.Errorf("-standby requires -replicate-from (whom to follow) and -replicate-listen (where to serve after promotion)")
-	}
-	if (opts.replListen != "" || opts.replFrom != "") && !opts.sharedMap {
-		return fmt.Errorf("replication requires -shared-map")
 	}
 	tr, err := eval.Train(opts.seed)
 	if err != nil {
@@ -213,115 +206,102 @@ func run(opts serverOpts) error {
 		tracer = trace.New(cfg)
 	}
 
-	// One fresh framework per session: the shared campus assets
-	// (fingerprint databases, constellation) are read-only, while the
-	// scheme instances and their particle-filter randomness are
-	// private to the session. With -shared-map the radio maps further
-	// collapse into two versioned stores every session reads through
-	// atomic snapshots.
+	// One fresh framework per session: the scheme instances and their
+	// particle-filter randomness are private to the session, while the
+	// radio maps live in two versioned stores every session reads
+	// through atomic snapshots.
+	storeCfg := func(name string) mapstore.Config {
+		cfg := mapstore.Config{
+			Name:         name,
+			RebuildBatch: opts.rebuildBatch,
+			RebuildEvery: opts.rebuildEvery,
+			Metrics:      mapstore.NewMetrics(reg, name),
+		}
+		if opts.replFrom != "" {
+			// A follower never compacts locally: its only writes are
+			// replayed leader deltas (cluster.Follower), so its versions
+			// can never fork from the leader's. A standby keeps a real
+			// batch size — dormant while following (followers never
+			// Submit locally), live the moment promotion makes its
+			// Submits the compaction stream — but still no timer, which
+			// could fire before promotion.
+			cfg.RebuildEvery = 0
+			if !opts.standby {
+				cfg.RebuildBatch = 1 << 30
+			}
+		}
+		return cfg
+	}
+	wifiStore := mapstore.New(campus.WiFiDB, storeCfg("wifi"))
+	cellStore := mapstore.New(campus.CellDB, storeCfg("cellular"))
+	defer wifiStore.Close()
+	defer cellStore.Close()
+	mapStores := map[byte]*mapstore.Store{
+		offload.MapWiFi:     wifiStore,
+		offload.MapCellular: cellStore,
+	}
+	var surveyIngest func(*offload.Survey) error
+	switch {
+	case opts.replFrom != "":
+		addrs := strings.Split(opts.replFrom, ",")
+		follower := cluster.NewFollowerAddrs(addrs, mapStores, reg)
+		defer follower.Close()
+		// Survey ingest goes through an indirection so promotion can
+		// swap forward-to-leader for serve-as-leader atomically, with
+		// sessions mid-flight.
+		var ingest atomic.Value
+		ingest.Store(follower.ForwardSurvey)
+		surveyIngest = func(sv *offload.Survey) error {
+			return ingest.Load().(func(*offload.Survey) error)(sv)
+		}
+		log.Printf("replicating from %s (surveys forwarded upstream, standby=%v)", opts.replFrom, opts.standby)
+		if opts.standby {
+			var promoted atomic.Pointer[cluster.Leader]
+			defer func() {
+				if l := promoted.Load(); l != nil {
+					l.Close()
+				}
+			}()
+			promoteSig := make(chan os.Signal, 1)
+			signal.Notify(promoteSig, syscall.SIGUSR1)
+			go func() {
+				<-promoteSig
+				signal.Stop(promoteSig)
+				rln, err := net.Listen("tcp", opts.replListen)
+				if err != nil {
+					log.Printf("promotion: replication listener: %v", err)
+					return
+				}
+				l := cluster.Promote(follower, reg)
+				promoted.Store(l)
+				ingest.Store(l.SurveyIngest)
+				go l.ListenAndServe(rln, func(err error) { log.Printf("replication: %v", err) })
+				log.Printf("promoted to replication leader on %s (retained deltas seeded, buffered surveys drained)", rln.Addr())
+			}()
+		}
+	case opts.replListen != "":
+		leader := cluster.NewLeader(mapStores, reg)
+		defer leader.Close()
+		rln, err := net.Listen("tcp", opts.replListen)
+		if err != nil {
+			return fmt.Errorf("replication listener: %w", err)
+		}
+		defer rln.Close()
+		go leader.ListenAndServe(rln, func(err error) { log.Printf("replication: %v", err) })
+		log.Printf("replication leader on %s", rln.Addr())
+	}
 	var sessionSeq atomic.Int64
-	var stores, pinStores map[byte]*mapstore.Store
 	factory := func() (*core.Framework, error) {
 		n := sessionSeq.Add(1)
 		rnd := rand.New(rand.NewSource(opts.seed + 7 + n))
-		ss := campus.Schemes(rnd)
+		ss := campus.SchemesOver(wifiStore, cellStore, rnd)
 		return core.NewFramework(ss, tr.Models)
 	}
-	var surveyIngest func(*offload.Survey) error
-	if opts.sharedMap {
-		storeCfg := func(name string) mapstore.Config {
-			cfg := mapstore.Config{
-				Name:         name,
-				RebuildBatch: opts.rebuildBatch,
-				RebuildEvery: opts.rebuildEvery,
-				Metrics:      mapstore.NewMetrics(reg, name),
-			}
-			if opts.replFrom != "" {
-				// A follower never compacts locally: its only writes are
-				// replayed leader deltas (cluster.Follower), so its versions
-				// can never fork from the leader's. A standby keeps a real
-				// batch size — dormant while following (followers never
-				// Submit locally), live the moment promotion makes its
-				// Submits the compaction stream — but still no timer, which
-				// could fire before promotion.
-				cfg.RebuildEvery = 0
-				if !opts.standby {
-					cfg.RebuildBatch = 1 << 30
-				}
-			}
-			return cfg
-		}
-		wifiStore := mapstore.New(campus.WiFiDB, storeCfg("wifi"))
-		cellStore := mapstore.New(campus.CellDB, storeCfg("cellular"))
-		defer wifiStore.Close()
-		defer cellStore.Close()
-		replStores := map[byte]*mapstore.Store{
-			offload.MapWiFi:     wifiStore,
-			offload.MapCellular: cellStore,
-		}
-		switch {
-		case opts.replFrom != "":
-			addrs := strings.Split(opts.replFrom, ",")
-			follower := cluster.NewFollowerAddrs(addrs, replStores, reg)
-			defer follower.Close()
-			// Survey ingest goes through an indirection so promotion can
-			// swap forward-to-leader for serve-as-leader atomically, with
-			// sessions mid-flight.
-			var ingest atomic.Value
-			ingest.Store(follower.ForwardSurvey)
-			surveyIngest = func(sv *offload.Survey) error {
-				return ingest.Load().(func(*offload.Survey) error)(sv)
-			}
-			log.Printf("replicating from %s (surveys forwarded upstream, standby=%v)", opts.replFrom, opts.standby)
-			if opts.standby {
-				var promoted atomic.Pointer[cluster.Leader]
-				defer func() {
-					if l := promoted.Load(); l != nil {
-						l.Close()
-					}
-				}()
-				promoteSig := make(chan os.Signal, 1)
-				signal.Notify(promoteSig, syscall.SIGUSR1)
-				go func() {
-					<-promoteSig
-					signal.Stop(promoteSig)
-					rln, err := net.Listen("tcp", opts.replListen)
-					if err != nil {
-						log.Printf("promotion: replication listener: %v", err)
-						return
-					}
-					l := cluster.Promote(follower, reg)
-					promoted.Store(l)
-					ingest.Store(l.SurveyIngest)
-					go l.ListenAndServe(rln, func(err error) { log.Printf("replication: %v", err) })
-					log.Printf("promoted to replication leader on %s (retained deltas seeded, buffered surveys drained)", rln.Addr())
-				}()
-			}
-		case opts.replListen != "":
-			leader := cluster.NewLeader(replStores, reg)
-			defer leader.Close()
-			rln, err := net.Listen("tcp", opts.replListen)
-			if err != nil {
-				return fmt.Errorf("replication listener: %w", err)
-			}
-			defer rln.Close()
-			go leader.ListenAndServe(rln, func(err error) { log.Printf("replication: %v", err) })
-			log.Printf("replication leader on %s", rln.Addr())
-		}
-		factory = func() (*core.Framework, error) {
-			n := sessionSeq.Add(1)
-			rnd := rand.New(rand.NewSource(opts.seed + 7 + n))
-			ss := campus.SchemesOver(wifiStore, cellStore, rnd)
-			return core.NewFramework(ss, tr.Models)
-		}
-		// Shared compute always pins the shared stores' snapshots;
-		// survey ingestion stays gated on -ingest.
-		pinStores = replStores
-		if opts.ingest {
-			stores = pinStores
-		}
-	} else if opts.ingest {
-		return fmt.Errorf("-ingest requires -shared-map")
+	// Shared compute always pins the stores' snapshots; survey
+	// ingestion stays gated on -ingest.
+	var ingestStores map[byte]*mapstore.Store
+	if opts.ingest {
+		ingestStores = mapStores
 	}
 
 	// Session-handoff mesh: ship every session's post-epoch state to the
@@ -354,10 +334,10 @@ func run(opts serverOpts) error {
 		IdleTimeout:   opts.idleTimeout,
 		EpochTimeout:  opts.epochTimeout,
 		Metrics:       reg,
-		MapStores:     stores,
+		MapStores:     ingestStores,
 		StepWorkers:   opts.stepWorkers,
-		BatchStores:   pinStores,
-		SharedCompute: opts.sharedCompute && opts.sharedMap,
+		BatchStores:   mapStores,
+		SharedCompute: opts.sharedCompute,
 		Tracer:        tracer,
 		PprofLabels:   opts.pprofLabels,
 		SurveyIngest:  surveyIngest,
@@ -373,8 +353,8 @@ func run(opts serverOpts) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("uniloc-server listening on %s (campus, max-sessions=%d, idle-timeout=%v, epoch-timeout=%v, shared-map=%v, ingest=%v, step-workers=%d, shared-compute=%v, trace=%v, pprof-labels=%v)",
-		ln.Addr(), opts.maxSessions, opts.idleTimeout, opts.epochTimeout, opts.sharedMap, opts.ingest, opts.stepWorkers, opts.sharedCompute && opts.sharedMap, opts.trace, opts.pprofLabels)
+	log.Printf("uniloc-server listening on %s (campus, max-sessions=%d, idle-timeout=%v, epoch-timeout=%v, ingest=%v, step-workers=%d, shared-compute=%v, trace=%v, pprof-labels=%v)",
+		ln.Addr(), opts.maxSessions, opts.idleTimeout, opts.epochTimeout, opts.ingest, opts.stepWorkers, opts.sharedCompute, opts.trace, opts.pprofLabels)
 
 	// Optional exposition endpoint: Prometheus + JSON metrics, expvar,
 	// pprof.
@@ -413,7 +393,7 @@ func run(opts serverOpts) error {
 			case <-statsDone:
 				return
 			case <-tick.C:
-				logStats(reg, opts.sharedMap)
+				logStats(reg)
 			}
 		}
 	}()
@@ -443,7 +423,7 @@ func run(opts serverOpts) error {
 
 	close(statsDone)
 	<-statsStopped
-	logStats(reg, opts.sharedMap) // final snapshot so short runs still report
+	logStats(reg) // final snapshot so short runs still report
 
 	if metricsSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -455,7 +435,7 @@ func run(opts serverOpts) error {
 
 // logStats renders the session/epoch counters from one telemetry
 // snapshot — the same numbers a /metrics scrape would see.
-func logStats(reg *telemetry.Registry, sharedMap bool) {
+func logStats(reg *telemetry.Registry) {
 	snap := reg.Snapshot()
 	get := func(name string, labels ...string) float64 {
 		v, _ := snap.Get(name, labels...)
@@ -474,16 +454,14 @@ func logStats(reg *telemetry.Registry, sharedMap bool) {
 	log.Printf("health: panics=%.0f quarantined=%.0f fallbacks=%.0f deadline-timeouts=%.0f",
 		get("scheme_panics_total"), get("quarantined_estimates_total"),
 		get("fallback_epochs_total"), get("deadline_timeouts_total"))
-	if sharedMap {
-		for _, m := range []string{"wifi", "cellular"} {
-			log.Printf("mapstore[%s]: version=%.0f points=%.0f pending=%.0f rebuilds=%.0f ingested=%.0f dropped=%.0f",
-				m,
-				get("uniloc_mapstore_snapshot_version", "map", m),
-				get("uniloc_mapstore_snapshot_points", "map", m),
-				get("uniloc_mapstore_pending_points", "map", m),
-				get("uniloc_mapstore_rebuilds_total", "map", m),
-				get("uniloc_surveys_ingested_total"),
-				get("uniloc_surveys_dropped_total"))
-		}
+	for _, m := range []string{"wifi", "cellular"} {
+		log.Printf("mapstore[%s]: version=%.0f points=%.0f pending=%.0f rebuilds=%.0f ingested=%.0f dropped=%.0f",
+			m,
+			get("uniloc_mapstore_snapshot_version", "map", m),
+			get("uniloc_mapstore_snapshot_points", "map", m),
+			get("uniloc_mapstore_pending_points", "map", m),
+			get("uniloc_mapstore_rebuilds_total", "map", m),
+			get("uniloc_surveys_ingested_total"),
+			get("uniloc_surveys_dropped_total"))
 	}
 }

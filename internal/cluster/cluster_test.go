@@ -478,7 +478,7 @@ func readFull(r net.Conn, p []byte) (int, error) {
 
 // TestClusterSameNodeResume verifies sequence-resume through the
 // router: a client whose link dies with a reply in flight reconnects,
-// the ring routes it to the same (healthy) backend, the v4
+// the ring routes it to the same (healthy) backend, the
 // re-handshake re-attaches the detached session, and the re-sent
 // epoch is answered from the replay cache — the whole walk stays
 // bit-identical to the uninterrupted reference. Run under -race in CI.

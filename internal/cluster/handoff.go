@@ -112,7 +112,7 @@ type handoffEntry struct {
 // Handoff replicates offload session states across nodes, making a
 // kill -9 survivable: the serving node pushes each session's state to
 // its peer set after every epoch (asynchronously, coalesced to the
-// newest state per client), and a node that receives a v4 hello for a
+// newest state per client), and a node that receives a hello for a
 // walk it never served fetches the state from the peer set — local
 // pushed copy first, then a wire query — and injects it. Plugs
 // directly into offload.ServerConfig.ShipSession / FetchSession.

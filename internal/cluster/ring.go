@@ -52,7 +52,7 @@ type Member struct {
 // maps to the first point clockwise of its hash whose backend is up.
 // Marking a backend down therefore moves only its keys — every other
 // session keeps its node, which is what lets a reconnecting client
-// resume its detached server-side session (protocol v4) instead of
+// resume its detached server-side session instead of
 // restarting its walk.
 type Ring struct {
 	mu     sync.RWMutex

@@ -47,7 +47,7 @@ func TestRingBalance(t *testing.T) {
 
 // TestRingSkipDownMovesOnlyOrphans pins the consistent-hashing
 // property the resume path depends on: marking one backend down moves
-// exactly its keys (everyone else keeps their node and can v4-resume),
+// exactly its keys (everyone else keeps their node and can resume),
 // and marking it back up brings exactly those keys home.
 func TestRingSkipDownMovesOnlyOrphans(t *testing.T) {
 	r, addrs := threeNodeRing()

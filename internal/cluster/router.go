@@ -80,12 +80,12 @@ func (m routerMetrics) backendUp(addr string, up bool) {
 // Router terminates nothing: it reads exactly one frame — the hello —
 // to learn the client ID, consistent-hashes it onto a backend,
 // forwards the hello verbatim, and then splices bytes both ways. The
-// offload protocol (v2–v5, trace context included) crosses it
-// untouched, so router and backends upgrade independently. A dead
-// backend is marked down on dial failure (and by the active prober),
-// and the very next reconnect of its clients lands on a surviving
-// node, where protocol v4 either resumes a detached session (same
-// node) or opens a fresh one at the client's last served position.
+// offload protocol (trace context included) crosses it untouched, so
+// router and backends upgrade independently. A dead backend is marked
+// down on dial failure (and by the active prober), and the very next
+// reconnect of its clients lands on a surviving node, where the
+// handshake either resumes a detached session (same node) or opens a
+// fresh one at the client's last served position.
 type Router struct {
 	ring        *Ring
 	dialTimeout time.Duration
@@ -240,7 +240,7 @@ func (r *Router) probeLoop() {
 // AddBackend adds a live backend to the router's ring at runtime and
 // drains exactly the proxied connections whose key now hashes to it:
 // their splices are severed with an RST on both sides, so the backend
-// parks the v4 session for resume and the client's reconnect — landing
+// parks the session for resume and the client's reconnect — landing
 // on the new backend — migrates the walk over the handoff path instead
 // of restarting it. Connections whose keys did not move are untouched.
 // Returns how many connections were drained; -1 if the address was
@@ -358,7 +358,7 @@ func (r *Router) Serve(conn net.Conn) error {
 	// router. Abruptness must survive the hop: a client RST arriving as
 	// a read error is re-raised to the backend as an RST (not a clean
 	// FIN), because uniloc-server reads the difference semantically —
-	// a reset parks a v4 session for resume, EOF ends the walk.
+	// a reset parks a session for resume, EOF ends the walk.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -276,8 +276,8 @@ func epochBytes(snap *sensing.Snapshot, gpsOn bool) (up, down int) {
 	if snap.Landmark != nil {
 		up += frame + len(offload.EncodeLandmark(snap.Landmark))
 	}
-	up += frame + len(offload.EncodeContext(snap)) // context header
-	up += frame                                    // epoch end
+	up += frame + len(offload.EncodeContextSeq(snap, 0)) // context header
+	up += frame                                          // epoch end
 	down = frame + len(offload.EncodeResult(&offload.Result{Selected: schemes.NameFusion}))
 	return up, down
 }

@@ -78,7 +78,7 @@ func (s *Suite) TableV() (*Report, error) {
 		if snap.GNSS.Reliable() {
 			upBytes += 3 + len(offload.EncodeFix(snap.GNSS))
 		}
-		upBytes += 3 + len(offload.EncodeContext(snap)) + 3
+		upBytes += 3 + len(offload.EncodeContextSeq(snap, 0)) + 3
 		downBytes += 3 + len(offload.EncodeResult(&offload.Result{Selected: schemes.NameFusion}))
 	}
 	if epochs == 0 {

@@ -68,8 +68,6 @@ type Client struct {
 	clientID  string
 	sessionID uint32
 	helloed   bool
-	proto     byte // negotiated protocol version (maxProto before Hello)
-	maxProto  byte // highest version this client offers (ProtocolVersion by default)
 
 	timeout time.Duration            // per-frame read/write deadline (0 = none)
 	dial    func() (net.Conn, error) // nil = no reconnect
@@ -81,7 +79,7 @@ type Client struct {
 	lastPos  geo.Point // last served position: the reconnect handshake resumes here
 	hasPos   bool
 
-	seq uint32 // per-session epoch sequence number (v4); 0 = none sent
+	seq uint32 // per-session epoch sequence number; 0 = none sent
 
 	bytesUp    int
 	bytesDown  int
@@ -92,36 +90,18 @@ type Client struct {
 	met clientMetrics
 
 	tracer  *trace.Tracer     // nil = tracing off
-	curSpan trace.SpanContext // in-flight epoch span, embedded in v5 context frames
+	curSpan trace.SpanContext // in-flight epoch span, embedded in context frames
 }
 
 // NewClient wraps an established connection to the server. The
 // optional clientID labels this phone in the server's per-session
 // stats.
 func NewClient(conn net.Conn, clientID ...string) *Client {
-	c := &Client{conn: conn, proto: ProtocolVersion, maxProto: ProtocolVersion}
+	c := &Client{conn: conn}
 	if len(clientID) > 0 {
 		c.clientID = clientID[0]
 	}
 	return c
-}
-
-// SetMaxProtocol caps the version this client offers in its hello, for
-// tests and staged rollouts: a client capped at v3 behaves exactly
-// like a real v3 build — no sequence numbers resumed, no trace bytes,
-// surveys allowed. Call before Hello; versions below the v2 handshake
-// floor or above ProtocolVersion are clamped.
-func (c *Client) SetMaxProtocol(v byte) {
-	if v < ProtocolV2 {
-		v = ProtocolV2
-	}
-	if v > ProtocolVersion {
-		v = ProtocolVersion
-	}
-	c.maxProto = v
-	if !c.helloed {
-		c.proto = v
-	}
 }
 
 // SetTimeout bounds every protocol read and write: Localize and Hello
@@ -152,15 +132,10 @@ func (c *Client) SetMetrics(reg *telemetry.Registry) {
 
 // SetTracer attaches a span tracer: every Localize call becomes one
 // "client.epoch" root span whose context travels to the server in the
-// v5 context frame, so the server's frame, step, and per-scheme spans
+// context frame, so the server's frame, step, and per-scheme spans
 // join the same trace tree. Nil (the default) disables tracing at zero
-// cost. When the handshake negotiates a pre-v5 session, spans are
-// still recorded locally but no trace bytes are sent.
+// cost and sends no trace bytes.
 func (c *Client) SetTracer(t *trace.Tracer) { c.tracer = t }
-
-// Proto returns the negotiated protocol version (ProtocolVersion
-// before Hello completes).
-func (c *Client) Proto() byte { return c.proto }
 
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
@@ -180,7 +155,7 @@ func (c *Client) Reconnects() int { return c.reconnects }
 
 // Resumes returns how many re-handshakes the server answered with
 // Welcome.Resumed — reconnects that re-attached the server-side
-// session instead of opening a fresh one (v4).
+// session instead of opening a fresh one.
 func (c *Client) Resumes() int { return c.resumes }
 
 // SessionID returns the server-assigned session ID (0 before Hello).
@@ -211,13 +186,14 @@ func (c *Client) noteTimeout(err error) {
 // Hello performs the session handshake: it announces the protocol
 // version and the walk's starting position, and waits for the server's
 // welcome. It returns ErrRejected (with the server's reason) when the
-// server refuses the session, e.g. at its session limit.
+// server refuses the session, e.g. at its session limit, and
+// ErrProtocol when the welcome speaks another protocol version.
 func (c *Client) Hello(start geo.Point) error {
 	if c.helloed {
 		return fmt.Errorf("%w: hello already sent", ErrProtocol)
 	}
 	c.start, c.hasStart = start, true
-	h := &Hello{Version: c.maxProto, StartX: start.X, StartY: start.Y, ClientID: c.clientID}
+	h := &Hello{Version: ProtocolVersion, StartX: start.X, StartY: start.Y, ClientID: c.clientID}
 	c.armWrite()
 	n, err := WriteFrame(c.conn, MsgHello, EncodeHello(h))
 	c.bytesUp += n
@@ -242,9 +218,9 @@ func (c *Client) Hello(start geo.Point) error {
 	if !w.OK {
 		return fmt.Errorf("%w: %s", ErrRejected, w.Reason)
 	}
-	// The welcome carries the server's negotiated version; min with our
-	// own guards against a server echoing a version we never offered.
-	c.proto = Negotiate(c.maxProto, w.Version)
+	if w.Version != ProtocolVersion {
+		return fmt.Errorf("%w: server speaks protocol v%d, client v%d", ErrProtocol, w.Version, ProtocolVersion)
+	}
 	c.sessionID = w.SessionID
 	c.helloed = true
 	if w.Resumed {
@@ -341,7 +317,7 @@ func (c *Client) retryEpoch(snap *sensing.Snapshot, firstErr error) (*Result, er
 // resumePoint is where a (re)handshake starts the server-side
 // framework when the server opens a fresh session: the last served
 // position when one exists (the walk is mid-flight), else the original
-// start, else the map origin. A v4 server that still holds the
+// start, else the map origin. A server that still holds the
 // detached session ignores this and resumes the framework exactly
 // where it left off — restarting at lastPos (plus re-stepping the
 // in-flight epoch) is the double-advance bug the sequence numbers
@@ -393,10 +369,9 @@ func (c *Client) localizeOnce(snap *sensing.Snapshot) (*Result, error) {
 		}
 	}
 	ctxPayload := EncodeContextSeq(snap, c.seq)
-	if c.curSpan.Valid() && Features(c.proto).Trace {
-		// v5 negotiated: ship the epoch span's context so server-side
-		// spans join this trace. Pre-v5 sessions get the plain header —
-		// the feature gate, not the tracer, decides the wire bytes.
+	if c.curSpan.Valid() {
+		// Ship the epoch span's context so server-side spans join this
+		// trace.
 		ctxPayload = EncodeContextTrace(snap, c.seq, c.curSpan)
 	}
 	if err := write(MsgContext, ctxPayload); err != nil {
@@ -426,21 +401,16 @@ func (c *Client) localizeOnce(snap *sensing.Snapshot) (*Result, error) {
 }
 
 // SubmitSurvey contributes one crowdsourced survey point (a full RSSI
-// scan at a known position) to the server's shared radio map
-// (protocol v3). The frame is fire-and-forget: the server folds the
-// point into its map store at the next compaction and sends no
-// acknowledgment, so a submission costs one upload and no round trip.
+// scan at a known position) to the server's shared radio map. The
+// frame is fire-and-forget: the server folds the point into its map
+// store at the next compaction and sends no acknowledgment, so a
+// submission costs one upload and no round trip.
 // mapID is MapWiFi or MapCellular.
 func (c *Client) SubmitSurvey(mapID byte, pos geo.Point, vec rf.Vector) error {
 	if !c.helloed {
 		if err := c.Hello(c.resumePoint()); err != nil {
 			return err
 		}
-	}
-	if !Features(c.proto).Surveys {
-		// A v2 session has no MsgSurvey; sending one anyway would kill
-		// the epoch stream server-side with a protocol error.
-		return fmt.Errorf("%w: surveys need protocol v%d, session is v%d", ErrProtocol, ProtocolV3, c.proto)
 	}
 	s := &Survey{Map: mapID, X: pos.X, Y: pos.Y, Vec: vec}
 	c.armWrite()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fingerprint"
@@ -171,6 +172,14 @@ func TestSurveyFloodOfMalformedInput(t *testing.T) {
 		Metrics:   reg,
 		MapStores: map[byte]*mapstore.Store{MapWiFi: store},
 	})
+	// Batch kicks compact on the store's own goroutine; the hook lets
+	// the version check below wait for the first swap instead of racing
+	// it. It runs after the swap, under the rebuild lock.
+	rebuilt := make(chan struct{})
+	var once sync.Once
+	store.SetOnRebuild(func(uint64, []fingerprint.Fingerprint) {
+		once.Do(func() { close(rebuilt) })
+	})
 
 	const clients = 3
 	const perClient = 200
@@ -237,7 +246,12 @@ func TestSurveyFloodOfMalformedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The compactor must have kept up with the batch kicks mid-flood.
+	// The flood queued far more than one batch of valid points, so the
+	// compactor must swap at least once.
+	select {
+	case <-rebuilt:
+	case <-time.After(10 * time.Second):
+	}
 	if v := store.Version(); v < 2 {
 		t.Errorf("snapshot version = %d, want >= 2 (compactor never ran during the flood)", v)
 	}

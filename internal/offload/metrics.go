@@ -25,7 +25,7 @@ type serverMetrics struct {
 	acceptErrors     *telemetry.Counter
 	sessionsDrained  *telemetry.Counter
 
-	// Protocol v4 resume instruments.
+	// Resume instruments.
 	sessionsDetached *telemetry.Counter
 	sessionsResumed  *telemetry.Counter
 	epochsReplayed   *telemetry.Counter
@@ -54,8 +54,8 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		acceptErrors:     reg.Counter("accept_errors_total", "transient listener Accept failures retried with backoff"),
 		sessionsDrained:  reg.Counter("uniloc_sessions_drained_total", "connections closed by a graceful drain"),
 
-		sessionsDetached: reg.Counter("uniloc_sessions_detached_total", "v4 sessions parked for resume after a transport error"),
-		sessionsResumed:  reg.Counter("uniloc_sessions_resumed_total", "v4 re-handshakes re-attached to a detached session"),
+		sessionsDetached: reg.Counter("uniloc_sessions_detached_total", "sessions parked for resume after a transport error"),
+		sessionsResumed:  reg.Counter("uniloc_sessions_resumed_total", "re-handshakes re-attached to a detached session"),
 		epochsReplayed:   reg.Counter("resume_replays_total", "duplicate epochs answered from the per-seq result cache without re-stepping"),
 		replayEvictions:  reg.Counter("uniloc_replay_evictions_total", "replay-cache entries evicted at the per-session bound"),
 

@@ -130,7 +130,7 @@ func TestFixCodec(t *testing.T) {
 
 func TestContextCodec(t *testing.T) {
 	s := &sensing.Snapshot{Epoch: 1234, LightLux: 10543.5, MagVarUT: 2.25, GPSEnabled: true}
-	back, err := DecodeContext(EncodeContext(s))
+	back, _, _, err := DecodeContextFull(EncodeContextSeq(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

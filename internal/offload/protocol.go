@@ -39,68 +39,15 @@ const (
 	MsgLandmark                      // detected landmark signature
 	MsgEpochEnd                      // end of one epoch's upload
 	MsgResult                        // server → phone: fused location
-	MsgHello                         // phone → server: session handshake (v2)
-	MsgWelcome                       // server → phone: handshake reply (v2)
-	MsgSurvey                        // phone → server: crowdsourced survey point (v3)
+	MsgHello                         // phone → server: session handshake
+	MsgWelcome                       // server → phone: handshake reply
+	MsgSurvey                        // phone → server: crowdsourced survey point
 )
 
-// Wire protocol versions. Version 2 added the session handshake
-// (MsgHello/MsgWelcome) and the availability flag on Result; version 3
-// added crowdsourced survey submissions (MsgSurvey) feeding the
-// server's shared map store; version 4 added the per-session epoch
-// sequence number on MsgContext and the Resumed flag on MsgWelcome,
-// making reconnect-replayed epochs idempotent; version 5 added the
-// optional 24-byte span context on MsgContext, propagating the
-// client's trace across the wire so server-side spans join the
-// client's trace tree.
-const (
-	ProtocolV2 byte = 2
-	ProtocolV3 byte = 3
-	ProtocolV4 byte = 4
-	ProtocolV5 byte = 5
-
-	// ProtocolVersion is the newest version this build speaks.
-	ProtocolVersion = ProtocolV5
-)
-
-// VersionFeatures is the capability set of one protocol version — the
-// single table every version check in the package goes through, so
-// adding a version means adding one entry here instead of sprinkling
-// `v >= 4` comparisons across client, server, and codec.
-type VersionFeatures struct {
-	Surveys bool // MsgSurvey accepted (v3+)
-	Resume  bool // context seq numbers, replay cache, session re-attach (v4+)
-	Trace   bool // span context on MsgContext (v5+)
-}
-
-// Features returns the capability set of a protocol version. Unknown
-// future versions report the newest known feature set (capabilities
-// are cumulative; the handshake negotiates the version down to what
-// both ends speak before features matter).
-func Features(v byte) VersionFeatures {
-	return VersionFeatures{
-		Surveys: v >= ProtocolV3,
-		Resume:  v >= ProtocolV4,
-		Trace:   v >= ProtocolV5,
-	}
-}
-
-// Negotiate picks the protocol version a session runs at: the lower of
-// the server's maximum and the client's hello. A v5 client talking to
-// a v4 server runs the session at v4 (and sends no trace bytes); a v3
-// client talking to a v5 server keeps its exact old semantics. Values
-// below ProtocolV2 are pinned to v2 — there was no pre-handshake
-// version to negotiate with.
-func Negotiate(serverMax, client byte) byte {
-	v := serverMax
-	if client < v {
-		v = client
-	}
-	if v < ProtocolV2 {
-		v = ProtocolV2
-	}
-	return v
-}
+// ProtocolVersion is the one wire protocol version this build speaks.
+// A hello or welcome carrying any other version ends the handshake:
+// there is no negotiation and no downgrade.
+const ProtocolVersion byte = 5
 
 // Survey map identifiers: which shared radio map a crowdsourced survey
 // point belongs to.
@@ -205,7 +152,9 @@ func DecodeVector(b []byte) (rf.Vector, error) {
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
-	out := make(rf.Vector, 0, n)
+	// Every entry takes at least 3 bytes, so a count the payload cannot
+	// hold sizes nothing: a 2-byte frame must not allocate 65535 slots.
+	out := make(rf.Vector, 0, min(n, len(b)/3))
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {
 			return nil, fmt.Errorf("%w: truncated vector", ErrProtocol)
@@ -246,21 +195,17 @@ func DecodeFix(b []byte) (*gnss.Fix, error) {
 	return f, nil
 }
 
-// EncodeContext packs the epoch header with sequence number zero
-// (callers that do not track per-session sequences, e.g. byte-count
-// models; seq 0 never matches the server's replay cache). See
-// EncodeContextSeq for the full v4 layout.
-func EncodeContext(s *sensing.Snapshot) []byte {
-	return EncodeContextSeq(s, 0)
-}
+// contextBytes is the size of the epoch header without a span context.
+const contextBytes = 4 + 4 + 4 + 1 + 4
 
-// EncodeContextSeq packs the v4 epoch header: epoch (uint32), light
-// lux (float32), magnetic variance (float32), gpsEnabled flag, then
-// the per-session epoch sequence number (uint32). The sequence number
-// identifies this epoch across reconnects so a result computed but
-// lost in flight is re-answered, never re-stepped.
+// EncodeContextSeq packs the 17-byte epoch header: epoch (uint32),
+// light lux (float32), magnetic variance (float32), gpsEnabled flag,
+// then the per-session epoch sequence number (uint32). The sequence
+// number identifies this epoch across reconnects so a result computed
+// but lost in flight is re-answered, never re-stepped; seq 0 means
+// "untracked" and is never cached.
 func EncodeContextSeq(s *sensing.Snapshot, seq uint32) []byte {
-	out := make([]byte, 4+4+4+1+4)
+	out := make([]byte, contextBytes)
 	binary.BigEndian.PutUint32(out[0:], uint32(s.Epoch))
 	binary.BigEndian.PutUint32(out[4:], math.Float32bits(float32(s.LightLux)))
 	binary.BigEndian.PutUint32(out[8:], math.Float32bits(float32(s.MagVarUT)))
@@ -271,39 +216,25 @@ func EncodeContextSeq(s *sensing.Snapshot, seq uint32) []byte {
 	return out
 }
 
-// EncodeContextTrace packs the v5 epoch header: the v4 layout followed
-// by the 24-byte span context of the client's in-flight epoch span. A
-// zero (invalid) context still occupies its bytes — the frame length
-// is how decoders version the header — but decodes back to zero,
-// meaning "no trace".
+// EncodeContextTrace packs the traced epoch header: the 17-byte header
+// followed by the 24-byte span context of the client's in-flight epoch
+// span. A zero (invalid) context still occupies its bytes — the frame
+// length is how decoders tell the two forms apart — but decodes back
+// to zero, meaning "no trace".
 func EncodeContextTrace(s *sensing.Snapshot, seq uint32, tctx trace.SpanContext) []byte {
 	return trace.AppendContext(EncodeContextSeq(s, seq), tctx)
 }
 
-// DecodeContext unpacks the epoch header into a fresh snapshot,
-// discarding the sequence number.
-func DecodeContext(b []byte) (*sensing.Snapshot, error) {
-	s, _, err := DecodeContextSeq(b)
-	return s, err
-}
-
-// DecodeContextSeq unpacks an epoch header of any version, discarding
-// any trace context.
-func DecodeContextSeq(b []byte) (*sensing.Snapshot, uint32, error) {
-	s, seq, _, err := DecodeContextFull(b)
-	return s, seq, err
-}
-
-// DecodeContextFull unpacks a v5 (41-byte), v4 (17-byte) or v3
-// (13-byte) epoch header. v3 frames carry no sequence number and
-// report seq 0, which is never cached; frames without a span context
-// (or with an all-zero one) report the zero SpanContext — pre-v5
-// clients keep their exact old semantics.
+// DecodeContextFull unpacks an epoch header: exactly the 17-byte
+// header, optionally followed by the 24-byte span context. Any other
+// length (a 13-byte header without the sequence number included) is
+// ErrProtocol. A header without a span context, or with an all-zero
+// one, reports the zero SpanContext.
 func DecodeContextFull(b []byte) (*sensing.Snapshot, uint32, trace.SpanContext, error) {
 	var tctx trace.SpanContext
-	if len(b) != 13 && len(b) != 17 && len(b) != 17+trace.ContextBytes {
-		return nil, 0, tctx, fmt.Errorf("%w: context must be 13, 17 or %d bytes, got %d",
-			ErrProtocol, 17+trace.ContextBytes, len(b))
+	if len(b) != contextBytes && len(b) != contextBytes+trace.ContextBytes {
+		return nil, 0, tctx, fmt.Errorf("%w: context must be %d or %d bytes, got %d",
+			ErrProtocol, contextBytes, contextBytes+trace.ContextBytes, len(b))
 	}
 	s := &sensing.Snapshot{
 		Epoch:    int(binary.BigEndian.Uint32(b[0:])),
@@ -312,12 +243,9 @@ func DecodeContextFull(b []byte) (*sensing.Snapshot, uint32, trace.SpanContext, 
 	}
 	s.GPSEnabled = b[12] == 1
 	s.T = time.Duration(s.Epoch) * sensing.EpochPeriod
-	var seq uint32
-	if len(b) >= 17 {
-		seq = binary.BigEndian.Uint32(b[13:])
-	}
-	if len(b) == 17+trace.ContextBytes {
-		tctx, _ = trace.DecodeContext(b[17:])
+	seq := binary.BigEndian.Uint32(b[13:])
+	if len(b) > contextBytes {
+		tctx, _ = trace.DecodeContext(b[contextBytes:])
 	}
 	return s, seq, tctx, nil
 }
@@ -361,7 +289,7 @@ func DecodeLandmark(b []byte) (*sensing.LandmarkHit, error) {
 	return l, nil
 }
 
-// Survey is a crowdsourced survey point (v3): a full RSSI scan taken at
+// Survey is a crowdsourced survey point: a full RSSI scan taken at
 // a known position (e.g. beside a landmark), contributed to the
 // server's shared radio map. Positions travel as float64 because they
 // key exact-position refreshes in the map store.
@@ -451,16 +379,14 @@ type Welcome struct {
 	OK        bool
 	SessionID uint32
 	Reason    string
-	// Resumed (v4) reports that this handshake re-attached a detached
+	// Resumed reports that this handshake re-attached a detached
 	// session: the server kept the walk's framework state, so the
 	// client should re-send any epoch whose result it never received.
 	Resumed bool
 }
 
 // EncodeWelcome packs a welcome frame: [version][ok][uint32 session]
-// [uint8 reasonLen][reason][resumed]. The trailing resumed byte is new
-// in v4; pre-v4 decoders ignore trailing bytes, so the frame stays
-// backward compatible.
+// [uint8 reasonLen][reason][resumed].
 func EncodeWelcome(w *Welcome) []byte {
 	reason := w.Reason
 	if len(reason) > 255 {
@@ -486,8 +412,8 @@ func EncodeWelcome(w *Welcome) []byte {
 	return out
 }
 
-// DecodeWelcome unpacks a welcome frame (with or without the v4
-// trailing resumed byte).
+// DecodeWelcome unpacks a welcome frame. A missing trailing resumed
+// byte reads as false.
 func DecodeWelcome(b []byte) (*Welcome, error) {
 	if len(b) < 7 {
 		return nil, fmt.Errorf("%w: short welcome", ErrProtocol)

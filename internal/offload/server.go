@@ -42,10 +42,10 @@ type ServerConfig struct {
 	// path then pays only nil checks.
 	Metrics *telemetry.Registry
 
-	// MapStores routes MsgSurvey submissions (protocol v3) to the shared
-	// radio-map stores, keyed by map ID (MapWiFi, MapCellular). Nil or
-	// missing entries drop submissions (counted); the stores themselves
-	// are shared with the Factory's schemes, so accepted points become
+	// MapStores routes MsgSurvey submissions to the shared radio-map
+	// stores, keyed by map ID (MapWiFi, MapCellular). Nil or missing
+	// entries drop submissions (counted); the stores themselves are
+	// shared with the Factory's schemes, so accepted points become
 	// visible to every session at the next snapshot rebuild.
 	MapStores map[byte]*mapstore.Store
 
@@ -81,7 +81,7 @@ type ServerConfig struct {
 	SharedCompute bool
 
 	// Tracer enables end-to-end span tracing: one "server.frame" span
-	// per served epoch (continuing the client's trace when the v5
+	// per served epoch (continuing the client's trace when the
 	// context frame carries one), with read/step/trace.observe/write
 	// children and per-scheme spans bridged from the framework's epoch
 	// traces.
@@ -95,11 +95,6 @@ type ServerConfig struct {
 	// allocates per epoch.
 	PprofLabels bool
 
-	// MaxProtocol caps the version the handshake negotiates, for tests
-	// and staged rollouts (a v5 build serving at v4 must ignore trace
-	// context exactly like a real v4 server). 0 = ProtocolVersion.
-	MaxProtocol byte
-
 	// SurveyIngest, when set, receives every MsgSurvey submission
 	// instead of the local MapStores — cluster followers use it to
 	// forward crowdsourced points to the replication leader, whose
@@ -107,15 +102,15 @@ type ServerConfig struct {
 	// drops the submission (counted), never the session.
 	SurveyIngest func(*Survey) error
 
-	// ShipSession, when set, receives the freshly exported state of a
-	// v4+ session after every served epoch (cluster.Handoff replicates
-	// it to peer nodes). Called on the serving goroutine right after the
-	// result is delivered, so it must only enqueue — never block on the
-	// network. The blob is self-contained (offload.SessionState): a peer
+	// ShipSession, when set, receives the freshly exported state of an
+	// identified session (non-empty client ID) after every served epoch
+	// (cluster.Handoff replicates it to peer nodes). Called on the
+	// serving goroutine right after the result is delivered, so it must
+	// only enqueue — never block on the network. The blob is self-contained (offload.SessionState): a peer
 	// that injects it continues the walk at exactly this epoch.
 	ShipSession func(clientID string, seq uint32, state []byte)
 
-	// FetchSession, when set, is consulted on a v4+ hello whose client
+	// FetchSession, when set, is consulted on a hello whose client
 	// ID matches no locally detached session: a non-nil blob (obtained
 	// from a handoff peer) is injected and resumed, so the client's walk
 	// continues on this node with its exact state — zero restarted
@@ -123,7 +118,7 @@ type ServerConfig struct {
 	// means no peer holds state and a fresh session opens.
 	FetchSession func(clientID string) []byte
 
-	// ReplayEntries / ReplayBytes bound each session's v4 replay cache
+	// ReplayEntries / ReplayBytes bound each session's replay cache
 	// (entries and encoded payload bytes; oldest evicted first, counted
 	// by uniloc_replay_evictions_total). 0 uses the package defaults.
 	ReplayEntries int
@@ -144,7 +139,6 @@ type Server struct {
 	epochTimeout time.Duration
 	tracer       *trace.Tracer // nil: tracing off
 	pprofLabels  bool
-	maxProto     byte
 	draining     atomic.Bool // Drain called: finish in-flight epochs, close cleanly
 }
 
@@ -157,16 +151,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	mgr.SetStepWorkers(cfg.StepWorkers)
 	mgr.SetTracer(cfg.Tracer)
 	mgr.SetPprofLabels(cfg.PprofLabels)
-	maxProto := cfg.MaxProtocol
-	if maxProto == 0 {
-		maxProto = ProtocolVersion
-	}
 	mgr.SetReplayCaps(cfg.ReplayEntries, cfg.ReplayBytes)
 	s := &Server{
 		mgr: mgr, stores: cfg.MapStores, surveyIngest: cfg.SurveyIngest,
 		shipSession: cfg.ShipSession, fetchSession: cfg.FetchSession,
 		epochTimeout: cfg.EpochTimeout,
-		tracer:       cfg.Tracer, pprofLabels: cfg.PprofLabels, maxProto: maxProto,
+		tracer:       cfg.Tracer, pprofLabels: cfg.PprofLabels,
 	}
 	pinStores := cfg.BatchStores
 	if pinStores == nil {
@@ -235,62 +225,57 @@ func (s *Server) handshake(conn net.Conn) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Version negotiation (one table for the whole package — see
-	// Features): the session runs at the lower of the server's maximum
-	// and the client's hello, so a newer client degrades gracefully —
-	// a v5 client against a v4-capped server simply runs without trace
-	// propagation — instead of being rejected.
-	ver := Negotiate(s.maxProto, hello.Version)
-	if Features(ver).Resume {
-		// A v4+ re-handshake under a known client ID re-attaches the
-		// detached session: framework state and the per-seq result
-		// cache survive the reconnect, so the hello's start position is
-		// deliberately ignored — resetting there is exactly the replay
-		// bug v4 fixes.
-		if sess := s.mgr.Resume(hello.ClientID, conn); sess != nil {
-			sess.proto = ver
-			welcome := &Welcome{Version: ver, OK: true, SessionID: sess.ID, Resumed: true}
-			if _, err := WriteFrame(conn, MsgWelcome, EncodeWelcome(welcome)); err != nil {
-				s.mgr.Detach(sess) // park again for the next attempt
-				return nil, err
-			}
-			return sess, nil
-		}
-		// No local parked session: a peer may hold this walk's shipped
-		// state (its owning node died, or the router moved the key). A
-		// successful fetch+inject makes the resume path above work as if
-		// the walk had always lived here — same framework bits, same
-		// replay cache. Any failure falls through to a fresh Open at the
-		// hello's start position, exactly the pre-failover behavior.
-		if s.fetchSession != nil && hello.ClientID != "" {
-			if blob := s.fetchSession(hello.ClientID); blob != nil {
-				if err := s.mgr.Inject(blob); err == nil {
-					if sess := s.mgr.Resume(hello.ClientID, conn); sess != nil {
-						sess.proto = ver
-						welcome := &Welcome{Version: ver, OK: true, SessionID: sess.ID, Resumed: true}
-						if _, err := WriteFrame(conn, MsgWelcome, EncodeWelcome(welcome)); err != nil {
-							s.mgr.Detach(sess)
-							return nil, err
-						}
-						return sess, nil
-					}
+	if hello.Version != ProtocolVersion {
+		// One protocol, no downgrade: tell the peer why, then close.
+		reason := fmt.Sprintf("unsupported protocol version %d; this server speaks only %d", hello.Version, ProtocolVersion)
+		_, _ = WriteFrame(conn, MsgWelcome, EncodeWelcome(&Welcome{Version: ProtocolVersion, Reason: reason}))
+		return nil, fmt.Errorf("%w: %s", ErrProtocol, reason)
+	}
+	// A re-handshake under a known client ID re-attaches the detached
+	// session: framework state and the per-seq result cache survive the
+	// reconnect, so the hello's start position is deliberately ignored —
+	// resetting there would re-step epochs the session already served.
+	if sess := s.mgr.Resume(hello.ClientID, conn); sess != nil {
+		return s.welcomeResumed(conn, sess)
+	}
+	// No local parked session: a peer may hold this walk's shipped state
+	// (its owning node died, or the router moved the key). A successful
+	// fetch+inject makes the resume path above work as if the walk had
+	// always lived here — same framework bits, same replay cache. Any
+	// failure falls through to a fresh Open at the hello's start
+	// position.
+	if s.fetchSession != nil && hello.ClientID != "" {
+		if blob := s.fetchSession(hello.ClientID); blob != nil {
+			if err := s.mgr.Inject(blob); err == nil {
+				if sess := s.mgr.Resume(hello.ClientID, conn); sess != nil {
+					return s.welcomeResumed(conn, sess)
 				}
 			}
 		}
 	}
 	sess, err := s.mgr.Open(hello.ClientID, geo.Pt(hello.StartX, hello.StartY), conn)
 	if err != nil {
-		reject := &Welcome{Version: ver, Reason: err.Error()}
+		reject := &Welcome{Version: ProtocolVersion, Reason: err.Error()}
 		_, _ = WriteFrame(conn, MsgWelcome, EncodeWelcome(reject))
 		if errors.Is(err, ErrServerFull) {
 			return nil, nil // graceful rejection, not a transport failure
 		}
 		return nil, err
 	}
-	sess.proto = ver
-	welcome := &Welcome{Version: ver, OK: true, SessionID: sess.ID}
+	welcome := &Welcome{Version: ProtocolVersion, OK: true, SessionID: sess.ID}
 	if _, err := WriteFrame(conn, MsgWelcome, EncodeWelcome(welcome)); err != nil {
 		s.mgr.Close(sess)
+		return nil, err
+	}
+	return sess, nil
+}
+
+// welcomeResumed acknowledges a handshake that re-attached sess. On a
+// failed write the session is parked again for the next attempt.
+func (s *Server) welcomeResumed(conn net.Conn, sess *Session) (*Session, error) {
+	welcome := &Welcome{Version: ProtocolVersion, OK: true, SessionID: sess.ID, Resumed: true}
+	if _, err := WriteFrame(conn, MsgWelcome, EncodeWelcome(welcome)); err != nil {
+		s.mgr.Detach(sess)
 		return nil, err
 	}
 	return sess, nil
@@ -367,9 +352,10 @@ func (s *Server) serve(conn net.Conn) error {
 		}
 	}()
 	// ioFail maps a mid-stream I/O failure to serve's return value:
-	// evictions and deadline hits stay quiet closes, any other
-	// transport/protocol failure parks a v4+ session for seq-numbered
-	// resume (Detach) instead of discarding its walk state.
+	// evictions and deadline hits stay quiet closes; any other failure
+	// parks the session for seq-numbered resume (Detach) instead of
+	// discarding its walk state. A malformed frame is the peer's fault
+	// and is returned, so the connection ends loudly.
 	ioFail := func(err error) error {
 		if sess.evicted.Load() {
 			return nil // reaper closed the connection under us
@@ -379,11 +365,11 @@ func (s *Server) serve(conn net.Conn) error {
 			s.mgr.noteDeadlineTimeout()
 			return nil
 		}
-		if Features(sess.proto).Resume {
-			detach = true
-			return nil
+		detach = true
+		if errors.Is(err, ErrProtocol) {
+			return err
 		}
-		return err
+		return nil
 	}
 	if s.pprofLabels {
 		// Label the serving goroutine so CPU/goroutine profiles of a
@@ -417,14 +403,14 @@ func (s *Server) emitChild(frame *trace.Span, sess *Session, name string, startN
 
 // epochLoop serves epochs on an established session until EOF or
 // error. With a tracer attached, each served epoch becomes one
-// "server.frame" span — continuing the client's trace when the v5
+// "server.frame" span — continuing the client's trace when the
 // context frame carried a span context, a fresh root otherwise — with
 // server.read/step/trace.observe/server.write children accounting
 // for where the frame's wall time went.
 func (s *Server) epochLoop(conn net.Conn, sess *Session, ioFail func(error) error) error {
 	for {
 		s.armDeadline(conn) // one deadline window per epoch exchange
-		snap, seq, tctx, arrived, err := s.readEpoch(conn, sess.proto)
+		snap, seq, tctx, arrived, err := s.readEpoch(conn)
 		if err == io.EOF {
 			return nil // clean shutdown: the walk is over, no resume
 		}
@@ -448,7 +434,7 @@ func (s *Server) epochLoop(conn net.Conn, sess *Session, ioFail func(error) erro
 			s.emitChild(&frame, sess, "server.read", s.tracer.At(arrived))
 			sess.spans.SetParent(frame.Context())
 		}
-		if cached := sess.replay.get(seq); Features(sess.proto).Resume && seq != 0 && cached != nil {
+		if cached := sess.replay.get(seq); seq != 0 && cached != nil {
 			// Reconnect replay: the client re-sent an epoch whose result
 			// was computed but lost in flight. Answer from the per-seq
 			// cache — re-stepping would double-advance PDR/HMM state.
@@ -484,7 +470,7 @@ func (s *Server) epochLoop(conn net.Conn, sess *Session, ioFail func(error) erro
 			out.Selected = res.Schemes[res.BestIdx].Name
 		}
 		payload := EncodeResult(out)
-		if Features(sess.proto).Resume && seq != 0 {
+		if seq != 0 {
 			sess.lastSeq = seq
 			s.mgr.noteReplayEvictions(sess.replay.put(seq, payload))
 		}
@@ -521,10 +507,10 @@ func (s *Server) epochLoop(conn net.Conn, sess *Session, ioFail func(error) erro
 // from the cache or steps the next one — never a double advance. The
 // epoch before the next ship lands is covered the other way: the
 // client re-sends it, and re-stepping it from this state is
-// deterministic. Only identified v4+ sessions ship; anonymous or
-// pre-resume sessions cannot be re-attached anywhere.
+// deterministic. Only identified sessions ship; anonymous ones cannot
+// be re-attached anywhere.
 func (s *Server) ship(sess *Session) {
-	if s.shipSession == nil || sess.ClientID == "" || !Features(sess.proto).Resume {
+	if s.shipSession == nil || sess.ClientID == "" {
 		return
 	}
 	var vers map[byte]uint64
@@ -542,13 +528,12 @@ func (s *Server) ship(sess *Session) {
 }
 
 // readEpoch assembles one snapshot from frames up to MsgEpochEnd,
-// returning the epoch's v4 sequence number (0 for v3 clients), the v5
-// trace context (zero without one), and — when tracing — the arrival
-// time of the epoch's first frame (the idle gap between epochs belongs
-// to the client, not to the frame span). proto is the session's
-// negotiated version: frames a feature gate excludes (MsgSurvey before
-// v3) are protocol errors, exactly as on a real old server.
-func (s *Server) readEpoch(r io.Reader, proto byte) (*sensing.Snapshot, uint32, trace.SpanContext, time.Time, error) {
+// returning the epoch's sequence number (0: untracked), the trace
+// context (zero without one), and — when tracing — the arrival time of
+// the epoch's first frame (the idle gap between epochs belongs to the
+// client, not to the frame span). Survey frames may arrive between
+// epoch frames; they are ingested on the spot.
+func (s *Server) readEpoch(r io.Reader) (*sensing.Snapshot, uint32, trace.SpanContext, time.Time, error) {
 	snap := &sensing.Snapshot{}
 	var seq uint32
 	var tctx trace.SpanContext
@@ -618,9 +603,6 @@ func (s *Server) readEpoch(r io.Reader, proto byte) (*sensing.Snapshot, uint32, 
 			}
 			snap.Landmark = l
 		case MsgSurvey:
-			if !Features(proto).Surveys {
-				return fail(fmt.Errorf("%w: survey frame on a v%d session", ErrProtocol, proto))
-			}
 			sv, err := DecodeSurvey(payload)
 			if err != nil {
 				return fail(err)

@@ -262,8 +262,8 @@ func TestServeRequiresHello(t *testing.T) {
 	c1, c2 := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(c2) }()
-	// Protocol-v1 style: epoch frames with no handshake.
-	if _, err := WriteFrame(c1, MsgContext, EncodeContext(&sensing.Snapshot{})); err != nil {
+	// Epoch frames with no handshake.
+	if _, err := WriteFrame(c1, MsgContext, EncodeContextSeq(&sensing.Snapshot{}, 0)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -275,44 +275,6 @@ func TestServeRequiresHello(t *testing.T) {
 		t.Fatal("server did not reject")
 	}
 	_ = c1.Close()
-}
-
-func TestServeNegotiatesDownNewerClient(t *testing.T) {
-	// A client announcing a future protocol version is not rejected:
-	// the handshake negotiates the session down to the server's
-	// maximum, so old servers keep serving new phones.
-	factory, _ := offloadWorld(t)
-	srv := newTestServer(t, ServerConfig{Factory: factory})
-	c1, c2 := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(c2) }()
-	h := &Hello{Version: ProtocolVersion + 1}
-	if _, err := WriteFrame(c1, MsgHello, EncodeHello(h)); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := ReadFrame(c1)
-	if err != nil || typ != MsgWelcome {
-		t.Fatalf("welcome read: %v %v", typ, err)
-	}
-	w, err := DecodeWelcome(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !w.OK {
-		t.Fatalf("newer client must be negotiated down, got rejection: %s", w.Reason)
-	}
-	if w.Version != ProtocolVersion {
-		t.Errorf("negotiated version = %d, want server max %d", w.Version, ProtocolVersion)
-	}
-	_ = c1.Close()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("server did not finish")
-	}
 }
 
 func TestIdleEviction(t *testing.T) {

@@ -35,9 +35,8 @@ type Session struct {
 
 	// Owned by the attached serving goroutine; a detach/resume cycle
 	// hands them to the next goroutine through the manager's lock.
-	proto   byte        // negotiated protocol version
-	replay  replayCache // v4: bounded per-seq result cache
-	lastSeq uint32      // v4: newest answered epoch sequence number
+	replay  replayCache // bounded per-seq result cache
+	lastSeq uint32      // newest answered epoch sequence number
 	// exportHint is the size of the last ExportState blob, which
 	// presizes the next one.
 	exportHint int
@@ -112,7 +111,7 @@ type Stats struct {
 	// sessions are opened with (<= 1: sequential).
 	StepWorkers int
 
-	// Protocol v4 resume counters: sessions parked after a transport
+	// Resume counters: sessions parked after a transport
 	// error, re-handshakes re-attached to a parked session, duplicate
 	// epochs answered from the per-seq result cache without re-stepping
 	// (each replay would otherwise have double-advanced PDR/HMM state),
@@ -159,7 +158,7 @@ type SessionManager struct {
 
 	mu       sync.Mutex
 	sessions map[uint32]*Session
-	detached map[string]*Session // v4 sessions parked for resume, by client ID
+	detached map[string]*Session // sessions parked for resume, by client ID
 	nextID   uint32
 
 	opened    atomic.Int64
@@ -410,7 +409,7 @@ func (m *SessionManager) Open(clientID string, start geo.Point, conn net.Conn) (
 	return s, nil
 }
 
-// Detach parks a live v4 session for seq-numbered resume after a
+// Detach parks a live session for seq-numbered resume after a
 // transport error: the framework (with its PDR/HMM state) and the
 // per-seq result cache survive, the dead connection is dropped. A
 // re-handshake with the same client ID re-attaches via Resume; until
@@ -482,7 +481,7 @@ func (m *SessionManager) noteReplayEvictions(n int) {
 }
 
 // SetReplayCaps bounds every subsequently opened (or injected)
-// session's v4 replay cache: at most entries cached results, at most
+// session's replay cache: at most entries cached results, at most
 // bytes of encoded payload, oldest evicted first. Zero values keep the
 // package defaults. Call before serving.
 func (m *SessionManager) SetReplayCaps(entries, bytes int) {
@@ -497,7 +496,7 @@ func (m *SessionManager) SetReplayCaps(entries, bytes int) {
 func (m *SessionManager) ExportState(s *Session, mapVers map[byte]uint64) ([]byte, error) {
 	st := SessionState{
 		ClientID: s.ClientID,
-		Proto:    s.proto,
+		Proto:    ProtocolVersion,
 		Seq:      s.lastSeq,
 		Replay:   s.replay.entries,
 		MapVers:  mapVers,
@@ -519,7 +518,7 @@ func (m *SessionManager) ExportState(s *Session, mapVers map[byte]uint64) ([]byt
 
 // Inject materializes a session from a peer's handoff blob and parks
 // it detached, exactly as if the walk had been served here and its
-// connection had dropped: a v4 re-handshake under the blob's client ID
+// connection had dropped: a re-handshake under the blob's client ID
 // then resumes it via Resume, replay cache intact, framework state
 // bit-identical to the origin's last export. Respects the session
 // limit. The caller typically follows up with Resume immediately.
@@ -539,6 +538,9 @@ func (m *SessionManager) inject(blob []byte) error {
 	}
 	if st.ClientID == "" {
 		return fmt.Errorf("offload: session state carries no client ID")
+	}
+	if st.Proto != ProtocolVersion {
+		return fmt.Errorf("offload: session state is from protocol v%d, this node speaks v%d", st.Proto, ProtocolVersion)
 	}
 	m.mu.Lock()
 	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
@@ -580,7 +582,6 @@ func (m *SessionManager) inject(blob []byte) error {
 		m.releasePins(s)
 		return fmt.Errorf("offload: restore handoff state: %w", err)
 	}
-	s.proto = st.Proto
 	s.lastSeq = st.Seq
 	s.replay.maxEntries, s.replay.maxBytes = m.replayEntries, m.replayBytes
 	for _, e := range st.Replay {

@@ -24,7 +24,8 @@ import (
 // fusionStoreWorld is sharedStoreWorld with the fusion scheme in the
 // factory: fusion is the heaviest consumer of the shared-compute cache
 // (per-cell RSSI likelihood rows), so the bit-identity proof must run
-// it, not just the wifi tracker.
+// it, not just the wifi tracker. WiFi and fusion are linked through
+// schemes.ShareRSSIDev, as on the real serving path.
 func fusionStoreWorld(t testing.TB, reg *telemetry.Registry) (core.FrameworkFactory, *world.World, *mapstore.Store) {
 	t.Helper()
 	w := &world.World{
@@ -57,10 +58,15 @@ func fusionStoreWorld(t testing.TB, reg *telemetry.Registry) (core.FrameworkFact
 		}
 	}
 	factory := func() (*core.Framework, error) {
+		// Linked like scenario.Assets.SchemesOver, which builds every
+		// real server session: WiFi hands fusion its RSSI deviation.
+		wifi := schemes.NewWiFi(store)
+		fusion := schemes.NewFusion(w, store, schemes.DefaultFusionConfig(), rand.New(rand.NewSource(3)))
+		schemes.ShareRSSIDev(wifi, fusion)
 		ss := []schemes.Scheme{
-			schemes.NewWiFi(store),
+			wifi,
 			schemes.NewPDR(w, schemes.DefaultPDRConfig(), rand.New(rand.NewSource(2))),
-			schemes.NewFusion(w, store, schemes.DefaultFusionConfig(), rand.New(rand.NewSource(3))),
+			fusion,
 		}
 		return core.NewFramework(ss, ms)
 	}
@@ -353,8 +359,10 @@ func TestSharedComputeEviction(t *testing.T) {
 
 // servedEpochAllocsMax bounds heap allocations per served epoch on
 // the default serving path. The path measured 45 when this guard was
-// added; the slack of 5 absorbs runtime noise such as map growth in
-// the shared likelihood rows, not a new per-epoch allocation.
+// added with unlinked WiFi and fusion, and measures 43 with them
+// linked as every real session is; the slack absorbs runtime noise
+// such as map growth in the shared likelihood rows, not a new
+// per-epoch allocation.
 const servedEpochAllocsMax = 45 + 5
 
 // TestServedEpochAllocsBounded is an absolute allocation guard on the

@@ -6,7 +6,7 @@ import (
 	"repro/internal/statecodec"
 )
 
-// Default bounds for the per-session v4 replay cache. A well-behaved
+// Default bounds for the per-session replay cache. A well-behaved
 // client only ever replays its single last unacked epoch, so the
 // entry cap exists purely to bound a hostile or buggy client; the
 // byte cap additionally bounds what a session contributes to a
@@ -17,7 +17,7 @@ const (
 )
 
 // replayCache is the bounded per-session store of recently answered
-// epoch results, keyed by the client's v4 sequence number. It replaces
+// epoch results, keyed by the client's epoch sequence number. It replaces
 // the original single-slot cache: a session that survives a node
 // failover can be asked to replay any epoch the client never saw
 // acknowledged, and an unbounded cache would let one session grow
@@ -92,11 +92,12 @@ const sessionStateVersion byte = 1
 
 // SessionState is the complete serializable state of one offload
 // session — everything a different node needs to continue the walk at
-// the exact epoch the origin last served: identity, negotiated
-// protocol, the bounded replay cache (so already-stepped epochs are
-// re-answered, never re-stepped), the map-store versions the state was
-// taken against, and the framework snapshot (schemes, filters, RNG
-// stream positions; see core.Framework.Snapshot).
+// the exact epoch the origin last served: identity, protocol version
+// (Inject refuses any but ProtocolVersion), the bounded replay cache
+// (so already-stepped epochs are re-answered, never re-stepped), the
+// map-store versions the state was taken against, and the framework
+// snapshot (schemes, filters, RNG stream positions; see
+// core.Framework.Snapshot).
 type SessionState struct {
 	ClientID string
 	Proto    byte
@@ -165,9 +166,15 @@ func DecodeSessionState(b []byte) (*SessionState, error) {
 		Proto:    r.U8(),
 		Seq:      r.U32(),
 	}
+	// Counts come from a peer: check them against the bytes left (a
+	// replay entry takes at least 8, a map version 9) before sizing
+	// anything by them.
 	nReplay := int(r.U32())
 	if r.Err() != nil {
 		return nil, fmt.Errorf("offload: truncated session state: %w", r.Err())
+	}
+	if nReplay > r.Remaining()/8 {
+		return nil, fmt.Errorf("offload: session state claims %d replay entries in %d bytes", nReplay, r.Remaining())
 	}
 	st.Replay = make([]ReplayEntry, 0, nReplay)
 	for i := 0; i < nReplay; i++ {
@@ -176,6 +183,9 @@ func DecodeSessionState(b []byte) (*SessionState, error) {
 	nVers := int(r.U32())
 	if r.Err() != nil {
 		return nil, fmt.Errorf("offload: truncated session state: %w", r.Err())
+	}
+	if nVers > r.Remaining()/9 {
+		return nil, fmt.Errorf("offload: session state claims %d map versions in %d bytes", nVers, r.Remaining())
 	}
 	st.MapVers = make(map[byte]uint64, nVers)
 	for i := 0; i < nVers; i++ {

@@ -73,7 +73,7 @@ func TestReplayCacheBounds(t *testing.T) {
 func TestSessionStateRoundTrip(t *testing.T) {
 	st := &SessionState{
 		ClientID: "phone-42",
-		Proto:    ProtocolV5,
+		Proto:    ProtocolVersion,
 		Seq:      17,
 		Replay: []ReplayEntry{
 			{Seq: 16, Payload: []byte("r16")},
@@ -156,7 +156,9 @@ func trackedStoreFactory(t testing.TB) (core.FrameworkFactory, *world.World, *ma
 		pdr.TrackSource(pdrSrc)
 		fusion := schemes.NewFusion(w, store, schemes.DefaultFusionConfig(), rand.New(fusionSrc))
 		fusion.TrackSource(fusionSrc)
-		return core.NewFramework([]schemes.Scheme{schemes.NewWiFi(store), pdr, fusion}, ms)
+		wifi := schemes.NewWiFi(store)
+		schemes.ShareRSSIDev(wifi, fusion)
+		return core.NewFramework([]schemes.Scheme{wifi, pdr, fusion}, ms)
 	}
 	return factory, w, store
 }
@@ -199,7 +201,7 @@ func TestExportStateMatchesReferenceEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := &SessionState{
-			ClientID: s.ClientID, Proto: s.proto, Seq: s.lastSeq,
+			ClientID: s.ClientID, Proto: ProtocolVersion, Seq: s.lastSeq,
 			Replay: append([]ReplayEntry(nil), s.replay.entries...), MapVers: vers, FW: fw,
 		}
 		want := encodeSessionStateRef(st)
@@ -243,4 +245,39 @@ func TestExportStateAllocs(t *testing.T) {
 			t.Errorf("ExportState allocates %.0f bytes for a %d-byte state, want at most 2x", perRun, len(blob))
 		}
 	})
+}
+
+// TestInjectRefusesOtherProtocol pins the handoff guard: a session
+// blob arrives from a peer, so one stamped with any protocol version
+// but ProtocolVersion is refused (and counted) rather than resumed.
+func TestInjectRefusesOtherProtocol(t *testing.T) {
+	var blob []byte
+	var m *SessionManager
+	exportWalk(t, 3, func(mgr *SessionManager, s *Session) {
+		b, err := mgr.ExportState(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, m = b, mgr
+	})
+	st, err := DecodeSessionState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Proto != ProtocolVersion {
+		t.Fatalf("exported proto = %d, want %d", st.Proto, ProtocolVersion)
+	}
+	for i, v := range []byte{4, ProtocolVersion + 1} {
+		st.Proto = v
+		if err := m.Inject(EncodeSessionState(st)); err == nil {
+			t.Fatalf("Inject accepted a v%d session state", v)
+		}
+		if got := m.Stats().InjectFailures; got != int64(i+1) {
+			t.Fatalf("inject failures = %d, want %d", got, i+1)
+		}
+	}
+	st.Proto = ProtocolVersion
+	if err := m.Inject(EncodeSessionState(st)); err != nil {
+		t.Fatalf("Inject refused a v%d session state: %v", ProtocolVersion, err)
+	}
 }

@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -8,40 +9,6 @@ import (
 	"repro/internal/sensing"
 	"repro/internal/telemetry/trace"
 )
-
-func TestFeaturesTable(t *testing.T) {
-	for _, tc := range []struct {
-		v    byte
-		want VersionFeatures
-	}{
-		{ProtocolV2, VersionFeatures{}},
-		{ProtocolV3, VersionFeatures{Surveys: true}},
-		{ProtocolV4, VersionFeatures{Surveys: true, Resume: true}},
-		{ProtocolV5, VersionFeatures{Surveys: true, Resume: true, Trace: true}},
-		{ProtocolV5 + 1, VersionFeatures{Surveys: true, Resume: true, Trace: true}},
-	} {
-		if got := Features(tc.v); got != tc.want {
-			t.Errorf("Features(%d) = %+v, want %+v", tc.v, got, tc.want)
-		}
-	}
-}
-
-func TestNegotiate(t *testing.T) {
-	for _, tc := range []struct {
-		server, client, want byte
-	}{
-		{ProtocolV5, ProtocolV5, ProtocolV5},
-		{ProtocolV5, ProtocolV4, ProtocolV4},     // old client keeps old semantics
-		{ProtocolV4, ProtocolV5, ProtocolV4},     // old server wins too
-		{ProtocolV5, ProtocolV5 + 3, ProtocolV5}, // future client runs at our max
-		{ProtocolV5, 0, ProtocolV2},              // nonsense pins to the handshake floor
-		{ProtocolV2, ProtocolV5, ProtocolV2},
-	} {
-		if got := Negotiate(tc.server, tc.client); got != tc.want {
-			t.Errorf("Negotiate(%d, %d) = %d, want %d", tc.server, tc.client, got, tc.want)
-		}
-	}
-}
 
 func TestContextTraceCodec(t *testing.T) {
 	tr := trace.New(trace.Config{Seed: 3})
@@ -73,17 +40,19 @@ func TestContextTraceCodec(t *testing.T) {
 		t.Errorf("zero context snap/seq = %+v %d", s, seq)
 	}
 
-	// v4 (17-byte) and v3 (13-byte) headers keep decoding.
+	// The untraced 17-byte header decodes without a span context.
 	s, seq, back, err = DecodeContextFull(EncodeContextSeq(snap, 5))
 	if err != nil || seq != 5 || back.Valid() || s.Epoch != 77 {
-		t.Errorf("v4 header: %+v %d %+v %v", s, seq, back, err)
+		t.Errorf("untraced header: %+v %d %+v %v", s, seq, back, err)
 	}
-	s, seq, back, err = DecodeContextFull(EncodeContextSeq(snap, 0)[:13])
-	if err != nil || seq != 0 || back.Valid() || s.Epoch != 77 {
-		t.Errorf("v3 header: %+v %d %+v %v", s, seq, back, err)
-	}
-	if _, _, _, err := DecodeContextFull(make([]byte, 20)); err == nil {
-		t.Error("odd-length context must fail")
+	// Every other length is a protocol error: the 13-byte header
+	// without a sequence number, and anything between or beyond.
+	for _, n := range []int{0, 13, 16, 18, 20, 40, 42} {
+		b := make([]byte, n)
+		copy(b, EncodeContextTrace(snap, 9, tctx))
+		if _, _, _, err := DecodeContextFull(b); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%d-byte context: err = %v, want ErrProtocol", n, err)
+		}
 	}
 }
 
@@ -108,48 +77,6 @@ func waitForSpans(t *testing.T, tr *trace.Tracer, name string, want int) {
 			t.Fatalf("timed out: %d %q spans, want %d", n, name, want)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestV5ClientV4ServerDowngrade pins satellite 6's compatibility
-// contract: a v5 client against a server capped at v4 negotiates the
-// session down, sends no trace bytes, and every v4 behavior (resume
-// seq numbers included) keeps working.
-func TestV5ClientV4ServerDowngrade(t *testing.T) {
-	factory, w := offloadWorld(t)
-	srvTracer := trace.New(trace.Config{Seed: 21})
-	srv := newTestServer(t, ServerConfig{
-		Factory:     factory,
-		MaxProtocol: ProtocolV4,
-		Tracer:      srvTracer,
-	})
-	client := pipeClient(t, srv)
-	client.SetTracer(trace.New(trace.Config{Seed: 22}))
-
-	start, snaps := corridorWalk(w, 2, 3, 8)
-	results := runWalk(t, client, start, snaps)
-	if len(results) != 8 || !results[len(results)-1].OK {
-		t.Fatalf("walk failed under downgrade: %+v", results[len(results)-1])
-	}
-	if client.Proto() != ProtocolV4 {
-		t.Fatalf("client proto = %d, want %d", client.Proto(), ProtocolV4)
-	}
-
-	// The server still traces its own frames, but none of them joined a
-	// client trace — the v4 session carried no span context.
-	waitForSpans(t, srvTracer, "server.frame", 8)
-	frames := 0
-	for _, r := range srvTracer.Snapshot() {
-		if r.Name != "server.frame" {
-			continue
-		}
-		frames++
-		if r.Parent != "" {
-			t.Errorf("v4 session frame span has remote parent %q", r.Parent)
-		}
-	}
-	if frames != 8 {
-		t.Errorf("server traced %d frames, want 8", frames)
 	}
 }
 
@@ -228,18 +155,23 @@ func TestEndToEndTraceSmoke(t *testing.T) {
 }
 
 // TestTraceOffServesIdentically is the zero-overhead sanity check: a
-// server with no tracer must serve a v5 client (which sends no trace
-// bytes without a tracer of its own) exactly as before.
+// server with no tracer must serve a client (which sends no trace
+// bytes without a tracer of its own) exactly as a traced pair does.
 func TestTraceOffServesIdentically(t *testing.T) {
 	factory, w := offloadWorld(t)
-	srv := newTestServer(t, ServerConfig{Factory: factory})
-	client := pipeClient(t, srv)
 	start, snaps := corridorWalk(w, 2, 3, 6)
-	results := runWalk(t, client, start, snaps)
+	srv := newTestServer(t, ServerConfig{Factory: factory})
+	results := runWalk(t, pipeClient(t, srv), start, snaps)
 	if len(results) != 6 || !results[len(results)-1].OK {
 		t.Fatalf("tracer-off walk failed: %+v", results[len(results)-1])
 	}
-	if client.Proto() != ProtocolV5 {
-		t.Errorf("proto = %d, want %d", client.Proto(), ProtocolV5)
+
+	tracer := trace.New(trace.Config{Seed: 41})
+	traced := pipeClient(t, newTestServer(t, ServerConfig{Factory: factory, Tracer: tracer}))
+	traced.SetTracer(tracer)
+	for i, res := range runWalk(t, traced, start, snaps) {
+		if *res != *results[i] {
+			t.Fatalf("epoch %d: traced %+v, untraced %+v", i, *res, *results[i])
+		}
 	}
 }
