@@ -119,6 +119,12 @@ func decodeDelta(b []byte) (delta, error) {
 	d.version = binary.BigEndian.Uint64(b[1:])
 	n := binary.BigEndian.Uint32(b[9:])
 	b = b[13:]
+	// A point takes at least 18 bytes and an observation 10, so a count
+	// the rest of the frame cannot hold is corrupt: refused before it
+	// sizes an allocation.
+	if uint64(n)*18 > uint64(len(b)) {
+		return d, fmt.Errorf("%w: delta of %d points in %d bytes", ErrRepProtocol, n, len(b))
+	}
 	d.batch = make([]fingerprint.Fingerprint, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 18 {
@@ -128,6 +134,9 @@ func decodeDelta(b []byte) (delta, error) {
 		y := math.Float64frombits(binary.BigEndian.Uint64(b[8:]))
 		k := int(binary.BigEndian.Uint16(b[16:]))
 		b = b[18:]
+		if k*10 > len(b) {
+			return d, fmt.Errorf("%w: truncated observation", ErrRepProtocol)
+		}
 		vec := make(rf.Vector, 0, k)
 		for j := 0; j < k; j++ {
 			if len(b) < 2 {

@@ -15,7 +15,9 @@ import (
 // map's positions, cycling through the RSSI distances of a tracked walk
 // along campus path 1. "shared" is a serving session's tracker, which
 // takes the map snapshot's kernel; "private" is a tracker over a plain
-// database (training), which builds its own.
+// database (training), which builds its own; "fresh" is a churn
+// session's, a new shared-kernel tracker every 4 updates, whose belief
+// never concentrates.
 func BenchmarkTrackerUpdate(b *testing.B) {
 	place := scenario.Campus()
 	assets := scenario.NewAssets(place, 3)
@@ -46,5 +48,18 @@ func BenchmarkTrackerUpdate(b *testing.B) {
 	})
 	b.Run("private", func(b *testing.B) {
 		run(b, hmm.New(view.Positions()))
+	})
+	b.Run("fresh", func(b *testing.B) {
+		positions := view.Positions()
+		var tr *hmm.Tracker
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%4 == 0 {
+				tr = hmm.NewShared(positions)
+				tr.ShareKernel(view)
+			}
+			tr.Update(scans[i%len(scans)])
+		}
 	})
 }

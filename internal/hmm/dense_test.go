@@ -31,6 +31,16 @@ func NewDense(states []geo.Point) *DenseTracker {
 	return t
 }
 
+// KernelSize returns the number of distinct moves and of pairs in t's
+// transition kernel (0, 0 before it has one), for the package's
+// external tests.
+func KernelSize(t *Tracker) (moves, pairs int) {
+	if t.kern == nil {
+		return 0, 0
+	}
+	return len(t.kern.move), len(t.kern.step)
+}
+
 // RestoreState mirrors Tracker.RestoreState.
 func (t *DenseTracker) RestoreState(belief []float64, prev, cur geo.Point, init bool) {
 	copy(t.Belief, belief)

@@ -13,6 +13,7 @@ package hmm
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/geo"
 )
@@ -55,34 +56,65 @@ type Tracker struct {
 // kernel is the belief-independent part of the transition model over
 // one state set: for every state i, the states j the transition model
 // can reach from it, !(d > 3σ) with d = states[j].Dist(states[i]) and
-// σ = MaxStepM (self included), with d and the step Gaussian
-// exp(-d²/2σ²). It depends only on the states and MaxStepM, so a map
-// snapshot builds one and every tracker over that snapshot shares it
-// read-only (see ShareKernel); a tracker over anything else builds its
+// σ = MaxStepM (self included), with the move m = states[j]−states[i],
+// d and the step Gaussian exp(-d²/2σ²). It depends only on the states
+// and MaxStepM, so a map snapshot builds one and every tracker over
+// that snapshot shares it, read-only but for the free list of factor
+// tables (see ShareKernel); a tracker over anything else builds its
 // own (ownKernel).
 //
-// d and the Gaussian are the transition model's own expressions,
-// evaluated once per pair on the same operands as a per-update scan, so
-// they round to the same bits. The second-order term needs the move's
-// length |sj−si|, which a scan computes as a separate Norm; it is d bit
-// for bit, since Hypot takes absolute values first and a−b = −(b−a)
+// m, d and the Gaussian are the transition model's own expressions,
+// evaluated on the same operands as a per-update scan, so they round
+// to the same bits. The second-order term needs the move's length
+// |sj−si|, which a scan computes as a separate Norm; it is d bit for
+// bit, since Hypot takes absolute values first and a−b = −(b−a)
 // exactly in IEEE arithmetic. For the same reason the pair rule is
 // symmetric: j is in row i exactly when i is in row j, with the same d.
 //
 // Surveyed maps sit on a few grid spacings, so their pairs share few
-// distinct distances. Each pair stores an index into a table of
-// distinct (d, Gaussian) values instead of the values themselves, and
-// the rows are the neighbour lists the kernel was built from, not a
-// copy: the kernel adds about 4 bytes per pair to the lists it shares
-// (about 90 KB for a campus map), where storing both values per pair
-// would add 16 and lift every node's heap.
+// distinct moves (217 among the campus WiFi map's 22,336 pairs). Each
+// pair stores an index into a table of distinct moves, keyed on the
+// move's bits, with d = Hypot(m.X, m.Y) and its Gaussian, instead of
+// the values themselves; the rows are the neighbour lists the kernel
+// was built from, not a copy. The kernel adds about 4 bytes per pair
+// to the lists it shares (about 90 KB for a campus map), where storing
+// the values per pair would lift every node's heap. The second-order
+// factor depends only on the move and the update's direction, so
+// transition evaluates it once per table entry, not once per pair.
 type kernel struct {
 	maxStepM float64
-	rows     [][]int32 // rows[i]: the neighbour list of state i
-	off      []int32   // row i's pair indices start at step[off[i]]
-	step     []int32   // per pair: index into dist and gauss
-	dist     []float64 // distinct step lengths
-	gauss    []float64 // stepGauss of each distinct length
+	rows     [][]int32   // rows[i]: the neighbour list of state i
+	off      []int32     // row i's pair indices start at step[off[i]]
+	step     []int32     // per pair: index into move, dist and gauss
+	move     []geo.Point // distinct moves states[j]−states[i]
+	dist     []float64   // the length of each move
+	gauss    []float64   // stepGauss of each length
+
+	// free holds factor tables (len(move) each) between transitions.
+	// A table lives for one transition, so a kernel keeps one per
+	// concurrent update, not one per tracker, and frees them with
+	// itself.
+	mu   sync.Mutex
+	free [][]float64
+}
+
+// takeFactors returns a factor table of len(k.move) for one
+// transition; giveFactors returns it for reuse.
+func (k *kernel) takeFactors() []float64 {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if n := len(k.free); n > 0 {
+		fac := k.free[n-1]
+		k.free = k.free[:n-1]
+		return fac
+	}
+	return make([]float64, len(k.move))
+}
+
+func (k *kernel) giveFactors(fac []float64) {
+	k.mu.Lock()
+	k.free = append(k.free, fac)
+	k.mu.Unlock()
 }
 
 // newKernel builds the transition kernel for states from neighbour
@@ -96,17 +128,20 @@ func newKernel(states []geo.Point, lists [][]int32, maxStepM float64) *kernel {
 		return nil
 	}
 	k := &kernel{maxStepM: maxStepM, rows: lists, off: make([]int32, 1, len(states)+1)}
-	ids := make(map[uint64]int32)
+	ids := make(map[[2]uint64]int32)
 	for i, si := range states {
 		for _, j := range lists[i] {
-			d := states[j].Dist(si)
-			if d > maxStepM*3 {
-				return nil
-			}
-			id, ok := ids[math.Float64bits(d)]
+			m := states[j].Sub(si)
+			key := [2]uint64{math.Float64bits(m.X), math.Float64bits(m.Y)}
+			id, ok := ids[key]
 			if !ok {
-				id = int32(len(k.dist))
-				ids[math.Float64bits(d)] = id
+				d := math.Hypot(m.X, m.Y) // states[j].Dist(si)
+				if d > maxStepM*3 {
+					return nil
+				}
+				id = int32(len(k.move))
+				ids[key] = id
+				k.move = append(k.move, m)
 				k.dist = append(k.dist, d)
 				k.gauss = append(k.gauss, stepGauss(d, maxStepM))
 			}
@@ -218,12 +253,12 @@ func stepGauss(d, maxStepM float64) float64 {
 	return math.Exp(-d * d / (2 * maxStepM * maxStepM))
 }
 
-// secondOrder boosts the step Gaussian g of the move si→sj, of length
-// d, when it continues the previous displacement dir (the second-order
+// secondOrder boosts the step Gaussian g of the move m, of length d,
+// when it continues the previous displacement dir (the second-order
 // term).
-func (t *Tracker) secondOrder(g float64, si, sj geo.Point, d float64, dir geo.Point, dirNorm float64) float64 {
+func (t *Tracker) secondOrder(g float64, m geo.Point, d float64, dir geo.Point, dirNorm float64) float64 {
 	if dirNorm > 0.5 && d > 0.3 {
-		cos := sj.Sub(si).Dot(dir) / (d * dirNorm)
+		cos := m.Dot(dir) / (d * dirNorm)
 		g *= 1 + t.DirWeight*cos
 		if g < 0 {
 			g = 0
@@ -313,6 +348,11 @@ func (t *Tracker) Update(rssiDists []float64) geo.Point {
 // receives from the current belief, pushed from the live sources along
 // the kernel's rows (see Update). A kernel built for another MaxStepM
 // is replaced by the tracker's own first.
+//
+// The factor secondOrder(i→j) depends only on the move and dir, so it
+// is evaluated once per distinct move into a table and each pair reads
+// its entry: the same expression on the same operand bits as
+// evaluating it per pair, so the same bits, added in the same order.
 func (t *Tracker) transition(next []float64) {
 	if t.kern == nil || math.Float64bits(t.kern.maxStepM) != math.Float64bits(t.MaxStepM) {
 		t.setKernel(nil)
@@ -321,17 +361,22 @@ func (t *Tracker) transition(next []float64) {
 	clear(next)
 	dir := t.cur.Sub(t.prev)
 	dirNorm := dir.Norm()
+	fac := k.takeFactors()
+	for e, m := range k.move {
+		fac[e] = t.secondOrder(k.gauss[e], m, k.dist[e], dir, dirNorm)
+	}
 	for i, b := range t.belief {
 		if b <= 1e-12 {
 			continue
 		}
-		si := t.states[i]
+		row := k.rows[i]
 		steps := k.step[k.off[i]:k.off[i+1]]
-		for x, j := range k.rows[i] {
-			e := steps[x]
-			next[j] += b * t.secondOrder(k.gauss[e], si, t.states[j], k.dist[e], dir, dirNorm)
+		steps = steps[:len(row)] // one per row entry: no bounds check below
+		for x, j := range row {
+			next[j] += b * fac[steps[x]]
 		}
 	}
+	k.giveFactors(fac)
 }
 
 // Predicted returns the current predicted location (zero before the

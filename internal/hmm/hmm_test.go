@@ -3,6 +3,7 @@ package hmm
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -314,4 +315,42 @@ func TestTrackerUpdateAllocs(t *testing.T) {
 			t.Errorf("%s: Update allocates %.1f times per call in steady state", tc.name, n)
 		}
 	}
+}
+
+// TestSharedKernelConcurrentUpdates runs trackers that share one kernel
+// (and so its factor tables' free list) from several goroutines at once
+// and holds each to a tracker updated alone. Run it under -race.
+func TestSharedKernelConcurrentUpdates(t *testing.T) {
+	states := gridStates(12)
+	k := newKernel(states, neighborListsFor(states, 18), 6)
+	var scans [][]float64
+	for step := 0; step < 20; step++ {
+		scans = append(scans, distsFor(states, geo.Pt(float64(step)*1.3, float64(step)*0.8)))
+	}
+	alone := NewShared(states)
+	alone.setKernel(k)
+	var want [][]float64
+	for _, d := range scans {
+		alone.Update(d)
+		want = append(want, append([]float64(nil), alone.belief...))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		tr := NewShared(states)
+		tr.setKernel(k)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for step, d := range scans {
+				tr.Update(d)
+				for i := range tr.belief {
+					if math.Float64bits(tr.belief[i]) != math.Float64bits(want[step][i]) {
+						t.Errorf("step %d: belief[%d] = %v, alone %v", step, i, tr.belief[i], want[step][i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

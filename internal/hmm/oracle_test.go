@@ -106,13 +106,9 @@ type stateSet struct {
 	scans  [][]float64
 }
 
-func gridSet() stateSet {
-	var states []geo.Point
-	for y := 0; y < 24; y++ {
-		for x := 0; x < 24; x++ {
-			states = append(states, geo.Pt(float64(x)*3, float64(y)*3))
-		}
-	}
+// diagonalWalk returns the RSSI distances over states of 40 scans along
+// a diagonal walk from (2, 3), growing with physical distance.
+func diagonalWalk(states []geo.Point) [][]float64 {
 	var scans [][]float64
 	for k := 0; k < 40; k++ {
 		truth := geo.Pt(2+float64(k)*0.9, 3+float64(k)*0.6)
@@ -122,7 +118,32 @@ func gridSet() stateSet {
 		}
 		scans = append(scans, d)
 	}
-	return stateSet{"grid", states, newListSource(states, 18), scans}
+	return scans
+}
+
+func gridSet() stateSet {
+	var states []geo.Point
+	for y := 0; y < 24; y++ {
+		for x := 0; x < 24; x++ {
+			states = append(states, geo.Pt(float64(x)*3, float64(y)*3))
+		}
+	}
+	return stateSet{"grid", states, newListSource(states, 18), diagonalWalk(states)}
+}
+
+// offLatticeSet is a state set on which no move repeats: random float
+// positions, plus states at x = +0, −0, +0 (so the moves (−0, 4) and
+// (+0, 4) both occur, with distinct bits) and two states at one
+// position. Nearly every pair is its own entry in the kernel's table
+// of distinct moves.
+func offLatticeSet() stateSet {
+	rnd := rand.New(rand.NewSource(11))
+	states := []geo.Point{geo.Pt(0, 40), geo.Pt(math.Copysign(0, -1), 44), geo.Pt(0, 48)}
+	for len(states) < 400 {
+		states = append(states, geo.Pt(rnd.Float64()*100, rnd.Float64()*80))
+	}
+	states = append(states, states[200])
+	return stateSet{"off-lattice", states, newListSource(states, 18), diagonalWalk(states)}
 }
 
 // campusSet is the campus WiFi map's positions under a tracked walk
@@ -147,13 +168,21 @@ func campusSet(t *testing.T) stateSet {
 
 // TestSparseUpdateMatchesDense holds the push update to the dense pull
 // reference, with the tracker's own kernel (New) and a shared one, on a
-// grid and on the campus WiFi map, through walks that hit every special
-// case of the exactness argument: non-finite and negative distances,
-// emission scales that make emissions non-finite, degenerate resets,
-// restored beliefs on and around the 1e-12 cut-off, and MaxStepM and
-// DirWeight changes mid-walk.
+// grid, on off-lattice states where no move repeats, and on the campus
+// WiFi map, through walks that hit every special case of the exactness
+// argument: non-finite and negative distances, emission scales that
+// make emissions non-finite, degenerate resets, restored beliefs on and
+// around the 1e-12 cut-off, and MaxStepM and DirWeight changes
+// mid-walk.
 func TestSparseUpdateMatchesDense(t *testing.T) {
-	sets := []stateSet{gridSet(), campusSet(t)}
+	sets := []stateSet{gridSet(), offLatticeSet(), campusSet(t)}
+	// The off-lattice set fills the move table: only self moves and the
+	// duplicate state's moves repeat.
+	off := hmm.NewShared(sets[1].states)
+	off.ShareKernel(sets[1].src)
+	if moves, pairs := hmm.KernelSize(off); moves*100 < pairs*95 {
+		t.Fatalf("off-lattice: %d distinct moves among %d pairs, want nearly one per pair", moves, pairs)
+	}
 	nextAbove := math.Nextafter(1e-12, 1)
 
 	events := []struct {
@@ -254,6 +283,30 @@ func TestSparseUpdateMatchesDense(t *testing.T) {
 					l.update(s.scans[k])
 				}
 			})
+		}
+	}
+}
+
+// TestCampusKernelsShareMoves pins the premise of the kernel's table of
+// distinct moves: the campus WiFi and cellular maps sit on a few grid
+// spacings, so their kernels hold fewer distinct moves than 2% of their
+// pairs, and the transition evaluates the second-order factor that many
+// times instead of once per pair.
+func TestCampusKernelsShareMoves(t *testing.T) {
+	assets := scenario.NewAssets(scenario.Campus(), 3)
+	for _, db := range []struct {
+		name string
+		db   *fingerprint.DB
+	}{{"wifi", assets.WiFiDB}, {"cellular", assets.CellDB}} {
+		store := mapstore.New(db.db, mapstore.Config{Name: db.name})
+		view := store.Snapshot()
+		tr := hmm.NewShared(view.Positions())
+		tr.ShareKernel(view)
+		moves, pairs := hmm.KernelSize(tr)
+		store.Close()
+		t.Logf("%s: %d distinct moves among %d pairs", db.name, moves, pairs)
+		if pairs == 0 || moves*50 >= pairs {
+			t.Errorf("%s: %d distinct moves among %d pairs, want fewer than 2%%", db.name, moves, pairs)
 		}
 	}
 }

@@ -162,6 +162,58 @@ func TestLandmarkCodec(t *testing.T) {
 	}
 }
 
+// TestLongStringsTruncate pins the one-byte length prefixes of results
+// and landmarks: a string over 255 bytes goes out as its first 255,
+// and the fields after it still decode, while short strings keep their
+// exact bytes.
+func TestLongStringsTruncate(t *testing.T) {
+	long := make([]byte, 300)
+	for i := range long {
+		long[i] = 'a' + byte(i%26)
+	}
+	want := string(long[:255])
+
+	r, err := DecodeResult(EncodeResult(&Result{X: 1.5, Y: -2, BestX: 3, BestY: 4, Selected: string(long), Env: 2, OK: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Selected != want || r.X != 1.5 || r.Y != -2 || r.BestX != 3 || r.BestY != 4 || r.Env != 2 || !r.OK {
+		t.Errorf("300-byte Selected decoded as %d bytes, result %+v", len(r.Selected), *r)
+	}
+	for _, lm := range []*sensing.LandmarkHit{
+		{ID: string(long), Kind: "door", Pos: sensing.Landmark2D{X: 10.5, Y: -2}},
+		{ID: "door-3", Kind: string(long), Pos: sensing.Landmark2D{X: 10.5, Y: -2}},
+	} {
+		back, err := DecodeLandmark(EncodeLandmark(lm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantID, wantKind := lm.ID, lm.Kind
+		if len(wantID) > 255 {
+			wantID = want
+		}
+		if len(wantKind) > 255 {
+			wantKind = want
+		}
+		if back.ID != wantID || back.Kind != wantKind || back.Pos != lm.Pos {
+			t.Errorf("landmark decoded as ID %d bytes, kind %d bytes, position %v", len(back.ID), len(back.Kind), back.Pos)
+		}
+	}
+
+	// Short strings: the frames are byte for byte what they were.
+	res := EncodeResult(&Result{X: 1.5, Selected: "wifi", Env: 1, OK: true})
+	wantRes := append([]byte{0x3f, 0xc0, 0, 0}, make([]byte, 12)...)
+	wantRes = append(wantRes, 1, 1, 4, 'w', 'i', 'f', 'i')
+	if !bytes.Equal(res, wantRes) {
+		t.Errorf("short result frame % x, want % x", res, wantRes)
+	}
+	lm := EncodeLandmark(&sensing.LandmarkHit{ID: "d1", Kind: "door", Pos: sensing.Landmark2D{X: 1.5}})
+	wantLm := []byte{2, 'd', '1', 0x3f, 0xc0, 0, 0, 0, 0, 0, 0, 4, 'd', 'o', 'o', 'r'}
+	if !bytes.Equal(lm, wantLm) {
+		t.Errorf("short landmark frame % x, want % x", lm, wantLm)
+	}
+}
+
 func TestResultCodec(t *testing.T) {
 	r := &Result{X: 12.5, Y: -3.25, BestX: 11, BestY: -2, Selected: "fusion", Env: 1, OK: true}
 	back, err := DecodeResult(EncodeResult(r))

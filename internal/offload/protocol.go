@@ -126,16 +126,22 @@ func DecodeStep(b []byte) (*imu.StepEvent, error) {
 	}, nil
 }
 
+// clip255 cuts s to the 255 bytes a one-byte length prefix can count;
+// every string framed with one goes through it.
+func clip255(s string) string {
+	if len(s) > 255 {
+		return s[:255]
+	}
+	return s
+}
+
 // EncodeVector packs an RSSI scan: [uint16 count] then per observation
 // [uint8 idLen][id][int16 rssi×10].
 func EncodeVector(v rf.Vector) []byte {
 	out := make([]byte, 2, 2+len(v)*12)
 	binary.BigEndian.PutUint16(out, uint16(len(v)))
 	for _, o := range v {
-		id := o.ID
-		if len(id) > 255 {
-			id = id[:255]
-		}
+		id := clip255(o.ID)
 		out = append(out, byte(len(id)))
 		out = append(out, id...)
 		var r [2]byte
@@ -253,16 +259,17 @@ func DecodeContextFull(b []byte) (*sensing.Snapshot, uint32, trace.SpanContext, 
 // EncodeLandmark packs a landmark hit: [uint8 idLen][id][float32 x]
 // [float32 y][uint8 kindLen][kind].
 func EncodeLandmark(l *sensing.LandmarkHit) []byte {
-	out := make([]byte, 0, 1+len(l.ID)+8+1+len(l.Kind))
-	out = append(out, byte(len(l.ID)))
-	out = append(out, l.ID...)
+	id, kind := clip255(l.ID), clip255(l.Kind)
+	out := make([]byte, 0, 1+len(id)+8+1+len(kind))
+	out = append(out, byte(len(id)))
+	out = append(out, id...)
 	var f [4]byte
 	binary.BigEndian.PutUint32(f[:], math.Float32bits(float32(l.Pos.X)))
 	out = append(out, f[:]...)
 	binary.BigEndian.PutUint32(f[:], math.Float32bits(float32(l.Pos.Y)))
 	out = append(out, f[:]...)
-	out = append(out, byte(len(l.Kind)))
-	out = append(out, l.Kind...)
+	out = append(out, byte(len(kind)))
+	out = append(out, kind...)
 	return out
 }
 
@@ -339,10 +346,7 @@ type Hello struct {
 // EncodeHello packs a hello frame: [version][float32 startX]
 // [float32 startY][uint8 idLen][clientID].
 func EncodeHello(h *Hello) []byte {
-	id := h.ClientID
-	if len(id) > 255 {
-		id = id[:255]
-	}
+	id := clip255(h.ClientID)
 	out := make([]byte, 0, 1+8+1+len(id))
 	out = append(out, h.Version)
 	var f [4]byte
@@ -388,10 +392,7 @@ type Welcome struct {
 // EncodeWelcome packs a welcome frame: [version][ok][uint32 session]
 // [uint8 reasonLen][reason][resumed].
 func EncodeWelcome(w *Welcome) []byte {
-	reason := w.Reason
-	if len(reason) > 255 {
-		reason = reason[:255]
-	}
+	reason := clip255(w.Reason)
 	out := make([]byte, 0, 1+1+4+1+len(reason)+1)
 	out = append(out, w.Version)
 	if w.OK {
@@ -443,7 +444,8 @@ type Result struct {
 
 // EncodeResult packs a result frame.
 func EncodeResult(r *Result) []byte {
-	out := make([]byte, 0, 16+2+len(r.Selected)+1)
+	sel := clip255(r.Selected)
+	out := make([]byte, 0, 16+2+len(sel)+1)
 	var f [4]byte
 	for _, v := range []float64{r.X, r.Y, r.BestX, r.BestY} {
 		binary.BigEndian.PutUint32(f[:], math.Float32bits(float32(v)))
@@ -455,8 +457,8 @@ func EncodeResult(r *Result) []byte {
 	} else {
 		out = append(out, 0)
 	}
-	out = append(out, byte(len(r.Selected)))
-	out = append(out, r.Selected...)
+	out = append(out, byte(len(sel)))
+	out = append(out, sel...)
 	return out
 }
 
