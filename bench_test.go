@@ -128,7 +128,14 @@ func benchEpochOver(b *testing.B, wifi, cell fingerprint.Map, opts ...core.Optio
 // guardrail: compare against BenchmarkFrameworkStepObserved to see
 // what tracing costs, and against the PR-1 baseline (2485024 ns/op,
 // 30 allocs/op) to confirm the untraced hot path did not regress.
-func BenchmarkFrameworkStep(b *testing.B) { benchFrameworkStep(b) }
+func BenchmarkFrameworkStep(b *testing.B) {
+	fw, snaps := benchEpoch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fw.Step(snaps[i%len(snaps)])
+	}
+}
 
 // BenchmarkFrameworkStepSharedMap is BenchmarkFrameworkStep over shared
 // mapstore stores, the way every server session reads the radio maps:
@@ -146,35 +153,6 @@ func BenchmarkFrameworkStepSharedMap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fw.Step(snaps[i%len(snaps)])
 	}
-	b.StopTimer()
-	fw.Close()
-}
-
-// BenchmarkFrameworkStepParallel is the same epoch stream with the five
-// schemes fanned out to the persistent worker pool (DESIGN.md §11).
-// Outputs are bit-identical to BenchmarkFrameworkStep; the ns/op ratio
-// is the parallel pipeline's speedup and depends entirely on how many
-// cores the runner has — record it, don't assert it.
-func BenchmarkFrameworkStepParallel(b *testing.B) {
-	benchFrameworkStep(b, core.WithParallel(benchStepWorkers))
-}
-
-// benchStepWorkers is the pool size used by the parallel step benchmark
-// and the BENCH_epoch.json recorder: one worker per scheme minus the
-// GPS scheme, which finishes almost instantly.
-const benchStepWorkers = 4
-
-// benchFrameworkStep is the shared body of the sequential and parallel
-// framework-step benchmarks.
-func benchFrameworkStep(b *testing.B, opts ...core.Option) {
-	fw, snaps := benchEpoch(b, opts...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fw.Step(snaps[i%len(snaps)])
-	}
-	b.StopTimer()
-	fw.Close()
 }
 
 // BenchmarkFrameworkStepObserved is the same epoch with epoch tracing
@@ -695,10 +673,10 @@ type epochBenchEntry struct {
 }
 
 // epochBenchShared is the shared-compute summary of the shared server
-// row (schema v1.2): the cache's lifetime counters and the hit rate
-// sessions saw on per-cell likelihood lookups. On a degraded (< 4
-// cpus) box the hit rate is the row's acceptance signal — any speedup
-// over private compute only materializes with real parallelism.
+// row: the cache's lifetime counters and the hit rate sessions saw on
+// per-cell likelihood lookups. On a degraded box the hit rate is the
+// row's acceptance signal — any speedup over private compute only
+// materializes with real parallelism.
 type epochBenchShared struct {
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
@@ -709,20 +687,23 @@ type epochBenchShared struct {
 }
 
 // epochBenchFile is the committed BENCH_epoch.json document. CPUs
-// records the measuring machine — the framework_step_par /
-// framework_step_seq ratio is meaningless without it (a single-core
-// runner cannot show a speedup, only pool overhead).
+// records the measuring machine; Degraded marks a machine with fewer
+// than serverEpochCPUs, on which the server_epoch_64c_* rows measure
+// scheduling overhead rather than multicore throughput.
 type epochBenchFile struct {
-	Schema      string            `json:"schema"`
-	GOOS        string            `json:"goos"`
-	GOARCH      string            `json:"goarch"`
-	CPUs        int               `json:"cpus"`
-	StepWorkers int               `json:"step_workers"`
-	Degraded    bool              `json:"degraded"`
-	Note        string            `json:"note,omitempty"`
-	Shared      *epochBenchShared `json:"shared,omitempty"`
-	Benchmarks  []epochBenchEntry `json:"benchmarks"`
+	Schema     string            `json:"schema"`
+	GOOS       string            `json:"goos"`
+	GOARCH     string            `json:"goarch"`
+	CPUs       int               `json:"cpus"`
+	Degraded   bool              `json:"degraded"`
+	Note       string            `json:"note,omitempty"`
+	Shared     *epochBenchShared `json:"shared,omitempty"`
+	Benchmarks []epochBenchEntry `json:"benchmarks"`
 }
+
+// serverEpochCPUs is the core count below which the 64-session server
+// rows of BENCH_epoch.json are marked degraded.
+const serverEpochCPUs = 4
 
 // TestRecordEpochBench re-measures the per-epoch hot path with
 // testing.Benchmark and writes BENCH_epoch.json to the path in
@@ -751,32 +732,26 @@ func TestRecordEpochBench(t *testing.T) {
 			AllocsPerOp: r.AllocsPerOp(),
 		}
 	}
-	degraded := runtime.NumCPU() < benchStepWorkers
+	degraded := runtime.NumCPU() < serverEpochCPUs
 	if degraded {
-		msg := fmt.Sprintf("BENCH DEGRADED: %d cpus < %d step workers — parallel and shared "+
-			"rows measure scheduling overhead, not speedup; do not compare across machines",
-			runtime.NumCPU(), benchStepWorkers)
+		msg := fmt.Sprintf("BENCH DEGRADED: %d cpus < %d — the server_epoch_64c_* rows "+
+			"measure scheduling overhead, not multicore throughput; do not compare across machines",
+			runtime.NumCPU(), serverEpochCPUs)
 		t.Log(msg)
 		fmt.Fprintln(os.Stderr, msg)
 	}
 	var sharedStats offload.Stats
 	doc := epochBenchFile{
-		Schema:      "uniloc-bench-epoch/v1.2",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		CPUs:        runtime.NumCPU(),
-		StepWorkers: benchStepWorkers,
-		Degraded:    degraded,
-		Note: "framework_step_par vs framework_step_seq is the parallel pipeline's " +
-			"speedup; it only materializes when cpus >= 4 (one core per heavy scheme). " +
-			"server_epoch_64c_* rows need cpus >= 4 as well for the shared-compute " +
-			"cache to show its multicore win; on degraded " +
+		Schema:   "uniloc-bench-epoch/v1.3",
+		GOOS:     runtime.GOOS,
+		GOARCH:   runtime.GOARCH,
+		CPUs:     runtime.NumCPU(),
+		Degraded: degraded,
+		Note: "degraded means cpus < 4: the server_epoch_64c_* rows need that many " +
+			"cores for the shared-compute cache to show its multicore win; on degraded " +
 			"boxes the shared row's acceptance signal is shared.hit_rate > 0.9.",
 		Benchmarks: []epochBenchEntry{
-			row("framework_step_seq", func(b *testing.B) { benchFrameworkStep(b) }),
-			row("framework_step_par", func(b *testing.B) {
-				benchFrameworkStep(b, core.WithParallel(benchStepWorkers))
-			}),
+			row("framework_step_seq", BenchmarkFrameworkStep),
 			row("resample", BenchmarkResample),
 			row("fusion_step", func(b *testing.B) {
 				benchFusionOver(b, getSuite(b).Lab.Campus().WiFiDB)

@@ -86,7 +86,6 @@ func main() {
 	ingest := flag.Bool("ingest", false, "accept crowdsourced survey submissions (MsgSurvey) into the shared map stores")
 	rebuildBatch := flag.Int("rebuild-batch", 256, "pending survey points that trigger a background snapshot rebuild")
 	rebuildEvery := flag.Duration("rebuild-every", 30*time.Second, "also rebuild snapshots on this timer so trickles land (0 = batch-only)")
-	stepWorkers := flag.Int("step-workers", 0, "per-session scheme-execution workers (core.WithParallel); <= 1 runs schemes sequentially, results are bit-identical either way")
 	sharedCompute := flag.Bool("shared-compute", true, "share version-keyed likelihood rows and HMM neighbor lists across sessions (results stay bit-identical to private compute)")
 	traceOn := flag.Bool("trace", false, "span-trace every served epoch; browse at /debug/traces on -metrics-addr")
 	traceRing := flag.Int("trace-ring", 4096, "spans kept in the in-memory trace ring (rounded up to a power of two)")
@@ -113,7 +112,6 @@ func main() {
 		ingest:        *ingest,
 		rebuildBatch:  *rebuildBatch,
 		rebuildEvery:  *rebuildEvery,
-		stepWorkers:   *stepWorkers,
 		sharedCompute: *sharedCompute,
 
 		trace:          *traceOn || *traceJSONL != "",
@@ -146,7 +144,6 @@ type serverOpts struct {
 	ingest            bool
 	rebuildBatch      int
 	rebuildEvery      time.Duration
-	stepWorkers       int
 	sharedCompute     bool
 
 	trace          bool
@@ -335,7 +332,6 @@ func run(opts serverOpts) error {
 		EpochTimeout:  opts.epochTimeout,
 		Metrics:       reg,
 		MapStores:     ingestStores,
-		StepWorkers:   opts.stepWorkers,
 		BatchStores:   mapStores,
 		SharedCompute: opts.sharedCompute,
 		Tracer:        tracer,
@@ -353,8 +349,8 @@ func run(opts serverOpts) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("uniloc-server listening on %s (campus, max-sessions=%d, idle-timeout=%v, epoch-timeout=%v, ingest=%v, step-workers=%d, shared-compute=%v, trace=%v, pprof-labels=%v)",
-		ln.Addr(), opts.maxSessions, opts.idleTimeout, opts.epochTimeout, opts.ingest, opts.stepWorkers, opts.sharedCompute, opts.trace, opts.pprofLabels)
+	log.Printf("uniloc-server listening on %s (campus, max-sessions=%d, idle-timeout=%v, epoch-timeout=%v, ingest=%v, shared-compute=%v, trace=%v, pprof-labels=%v)",
+		ln.Addr(), opts.maxSessions, opts.idleTimeout, opts.epochTimeout, opts.ingest, opts.sharedCompute, opts.trace, opts.pprofLabels)
 
 	// Optional exposition endpoint: Prometheus + JSON metrics, expvar,
 	// pprof.

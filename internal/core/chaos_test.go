@@ -82,14 +82,20 @@ func TestSchemePanicRecovered(t *testing.T) {
 	}
 }
 
+// TestSchemePanicRecoveredParallel: a scheme that panics every epoch
+// stays contained epoch after epoch. The name dates from when a worker
+// pool ran the schemes; they now run in one loop, and the recover in
+// schemeEpoch is what keeps the survivor and counts each panic.
 func TestSchemePanicRecoveredParallel(t *testing.T) {
+	h := NewHealth(telemetry.NewRegistry())
 	bad := &panicScheme{fakeScheme: fakeScheme{name: "bad", pos: geo.Pt(2, 2), ok: true, feats: map[string]float64{"x": 1}}, armed: true}
-	fw := chaosFramework(t, bad, WithParallel(2))
-	defer fw.Close()
-	for i := 0; i < 10; i++ {
-		res := fw.Step(outdoorSnap())
-		if !res.OK {
-			t.Fatalf("epoch %d: pool lost the surviving scheme", i)
+	fw := chaosFramework(t, bad, WithHealth(h))
+	for i := 1; i <= 10; i++ {
+		if res := fw.Step(outdoorSnap()); !res.OK {
+			t.Fatalf("epoch %d: lost the surviving scheme", i)
+		}
+		if got := h.SchemePanics.Value(); got != int64(i) {
+			t.Fatalf("epoch %d: scheme_panics_total = %d, want %d", i, got, i)
 		}
 	}
 }

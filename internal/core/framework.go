@@ -97,9 +97,9 @@ func WithPprofLabels(on bool) Option {
 	return func(f *Framework) { f.pprofLabels = on }
 }
 
-// Framework is the UniLoc runtime: N schemes running in parallel, one
-// error model per scheme per environment, confidence computation, and
-// the two ensemble outputs.
+// Framework is the UniLoc runtime: N schemes stepped in canonical order
+// each epoch, one error model per scheme per environment, confidence
+// computation, and the two ensemble outputs.
 type Framework struct {
 	schemes []schemes.Scheme
 	models  *ModelSet
@@ -119,9 +119,6 @@ type Framework struct {
 	// it with the walk's start position, which is known by contract.
 	lastGood    geo.Point
 	hasLastGood bool
-
-	stepWorkers int       // scheme-execution workers (<= 1: sequential)
-	pool        *stepPool // lazily started persistent worker pool
 }
 
 // NewFramework builds a framework over the given schemes and trained
@@ -199,6 +196,11 @@ func (f *Framework) Reset(start geo.Point) {
 	f.lastGood = start
 	f.hasLastGood = true
 }
+
+// Close releases nothing: a Framework holds no goroutines or other
+// resources beyond its memory. It is kept, as a no-op, only because
+// the serving benchmark (bench/check.go) still calls it.
+func (f *Framework) Close() {}
 
 // GPSWanted implements the GPS gating decision for the next epoch
 // (§IV-C): GPS is off indoors; outdoors it is enabled only when its
@@ -296,17 +298,8 @@ func (f *Framework) step(snap *sensing.Snapshot, tr *telemetry.EpochTrace) StepR
 		BestIdx: -1,
 	}
 
-	if f.stepWorkers > 1 {
-		// Fan the schemes out to the persistent worker pool. Each
-		// worker writes only its scheme's slot of res.Schemes (and of
-		// tr.Schemes), so the result layout is identical to the
-		// sequential loop; the gating-state updates below then replay
-		// in canonical scheme order after the join.
-		f.ensurePool().dispatch(snap, tr, res.Schemes)
-	} else {
-		for i := range f.schemes {
-			f.runScheme(i, snap, tr, res.Schemes)
-		}
+	for i := range f.schemes {
+		f.runScheme(i, snap, tr, res.Schemes)
 	}
 	for i, s := range f.schemes {
 		if res.Schemes[i].Available {
@@ -363,10 +356,8 @@ func (f *Framework) step(snap *sensing.Snapshot, tr *telemetry.EpochTrace) StepR
 
 // runScheme executes one scheme's epoch work — Estimate plus the error
 // prediction from its real-time features — and writes the result into
-// out[i] (and its timings into tr.Schemes[i] when tracing). It touches
-// no cross-scheme state, so the worker pool may run any subset of
-// schemes concurrently; gating-state (lastPred) updates stay with the
-// caller.
+// out[i] (and its timings into tr.Schemes[i] when tracing).
+// Gating-state (lastPred) updates stay with the caller.
 func (f *Framework) runScheme(i int, snap *sensing.Snapshot, tr *telemetry.EpochTrace, out []SchemeResult) {
 	if f.pprofLabels {
 		// Label push/pop allocates, so this wrapper only exists when the
@@ -382,10 +373,9 @@ func (f *Framework) runScheme(i int, snap *sensing.Snapshot, tr *telemetry.Epoch
 // paths.
 func (f *Framework) schemeEpoch(i int, snap *sensing.Snapshot, tr *telemetry.EpochTrace, out []SchemeResult) {
 	s := f.schemes[i]
-	// A panicking scheme becomes an unavailable scheme — never a dead
-	// worker goroutine or a torn-down walk. The recover must live here,
-	// inside the unit of work, so the parallel pool's workers are
-	// covered identically to the sequential loop.
+	// A panicking scheme becomes an unavailable scheme — never a
+	// torn-down walk or a dead server. The recover lives here, inside
+	// the unit of work, so the other schemes still run this epoch.
 	defer func() {
 		if r := recover(); r != nil {
 			out[i] = SchemeResult{Name: s.Name()}
@@ -400,8 +390,7 @@ func (f *Framework) schemeEpoch(i int, snap *sensing.Snapshot, tr *telemetry.Epo
 		t0 = time.Now()
 		if !tr.StartMono.IsZero() {
 			// Offset from the step start, so the span tracer can place
-			// this scheme's execution on the epoch timeline (parallel
-			// schemes genuinely overlap; the offsets show it).
+			// this scheme's execution on the epoch timeline.
 			tr.Schemes[i].StartNS = t0.Sub(tr.StartMono).Nanoseconds()
 		}
 	}

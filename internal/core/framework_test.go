@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/geo"
@@ -143,6 +144,35 @@ func TestFrameworkResetPropagates(t *testing.T) {
 	fw.Reset(geo.Pt(5, 5))
 	if good.reset != 1 || bad.reset != 1 {
 		t.Error("Reset must reach every scheme")
+	}
+}
+
+// TestParallelPoolReuseAcrossReset: one framework keeps stepping across
+// walks (a server reuses it across Resets) and after Close, and Step
+// starts no goroutines. The name dates from the worker pool that once
+// lived across Resets; Close is now a no-op and must stay harmless.
+func TestParallelPoolReuseAcrossReset(t *testing.T) {
+	fw, good, bad := twoSchemeFramework(t)
+	fw.Reset(geo.Pt(0, 0))
+	before := runtime.NumGoroutine()
+	for walk := 1; walk <= 3; walk++ {
+		fw.Reset(geo.Pt(float64(walk), 5))
+		if good.reset != walk+1 || bad.reset != walk+1 {
+			t.Fatalf("walk %d: Reset must reach every scheme (%d, %d resets)", walk, good.reset, bad.reset)
+		}
+		for i := 0; i < 10; i++ {
+			if res := fw.Step(outdoorSnap()); !res.OK {
+				t.Fatalf("walk %d epoch %d: step failed", walk, i)
+			}
+		}
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("stepping started goroutines: %d -> %d", before, n)
+	}
+	fw.Close()
+	fw.Close() // idempotent
+	if res := fw.Step(outdoorSnap()); !res.OK {
+		t.Fatal("step after Close failed")
 	}
 }
 
@@ -373,6 +403,39 @@ func TestStepEmitsEpochTrace(t *testing.T) {
 	}
 	if tr.PredictNS != st.PredictNS {
 		t.Fatalf("total predict %d != sum of per-scheme %d", tr.PredictNS, st.PredictNS)
+	}
+}
+
+// TestParallelStepTelemetry: with every scheme available, every trace
+// slot is named, available and timed. The name dates from when pool
+// workers wrote their own slots; the one loop in step now fills them.
+func TestParallelStepTelemetry(t *testing.T) {
+	var got *telemetry.EpochTrace
+	obs := telemetry.ObserverFunc(func(tr *telemetry.EpochTrace) { got = tr })
+	good := &fakeScheme{name: "good", pos: geo.Pt(1, 1), ok: true, feats: map[string]float64{"x": 1}}
+	bad := &fakeScheme{name: "bad", pos: geo.Pt(30, 30), ok: true, feats: map[string]float64{"x": 10}}
+	ms := NewModelSet()
+	ms.Put(modelFor("good", EnvOutdoor, 2, 1))
+	ms.Put(modelFor("bad", EnvOutdoor, 2, 2))
+	fw, err := NewFramework([]schemes.Scheme{good, bad}, ms, WithObserver(obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Reset(geo.Pt(0, 0))
+	fw.Step(outdoorSnap())
+	if got == nil {
+		t.Fatal("no trace emitted")
+	}
+	if len(got.Schemes) != 2 {
+		t.Fatalf("trace has %d scheme entries", len(got.Schemes))
+	}
+	for i, st := range got.Schemes {
+		if st.Scheme == "" || st.EstimateNS < 0 || !st.Available {
+			t.Fatalf("scheme trace %d incomplete: %+v", i, st)
+		}
+	}
+	if got.StepNS <= 0 {
+		t.Fatalf("StepNS = %d", got.StepNS)
 	}
 }
 

@@ -87,8 +87,10 @@ func (f *Framework) AppendSnapshot(dst []byte) ([]byte, error) {
 // draws Reset itself spent are irrelevant.
 func (f *Framework) Restore(b []byte) error {
 	r := statecodec.NewReader(b)
-	if v := r.U8(); r.Err() != nil || v != snapshotVersion {
-		return fmt.Errorf("core: unsupported framework snapshot version %d", b[0])
+	if v := r.U8(); r.Err() != nil {
+		return fmt.Errorf("core: truncated framework snapshot: %w", r.Err())
+	} else if v != snapshotVersion {
+		return fmt.Errorf("core: unsupported framework snapshot version %d", v)
 	}
 	lastEnv := EnvClass(r.U8())
 	lastGood := geo.Pt(r.F64(), r.F64())
@@ -101,6 +103,12 @@ func (f *Framework) Restore(b []byte) error {
 	nPred := int(r.U32())
 	if r.Err() != nil {
 		return fmt.Errorf("core: truncated framework snapshot: %w", r.Err())
+	}
+	// Each entry is at least a length prefix and a float64 (12 bytes):
+	// refuse a count the rest of the blob cannot hold before sizing the
+	// map by it.
+	if nPred > r.Remaining()/12 {
+		return fmt.Errorf("core: framework snapshot claims %d predictions in %d bytes", nPred, r.Remaining())
 	}
 	lastPred := make(map[string]float64, nPred)
 	for i := 0; i < nPred; i++ {

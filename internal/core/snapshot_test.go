@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/fingerprint"
 	"repro/internal/geo"
@@ -206,6 +208,83 @@ func TestRestoreRejectsMismatchedSchemes(t *testing.T) {
 	}
 	if err := other.Restore(blob); err == nil {
 		t.Fatal("restore of mismatched scheme list must fail")
+	}
+}
+
+// TestRestoreRefusesOversizedCounts: a blob's counts are untrusted, so
+// each is checked against the bytes left before it sizes any memory.
+// The 38-byte blob claims 2²⁶ gating predictions; sizing the map by
+// that hint used to take seconds and gigabytes before the refusal.
+// The scheme blobs claim 2²⁰ particles and belief entries in a few
+// bytes. Every refusal must come fast and allocate far less than the
+// claims would.
+func TestRestoreRefusesOversizedCounts(t *testing.T) {
+	factory, w := snapshotWorld(t)
+	start, _ := snapshotWalk(w, 1)
+	fw, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Reset(start)
+
+	header := []byte{snapshotVersion}
+	header = statecodec.AppendU8(header, byte(EnvIndoor))
+	header = statecodec.AppendF64(header, start.X)
+	header = statecodec.AppendF64(header, start.Y)
+	header = statecodec.AppendBool(header, true)
+	header = append(header, 0, 0) // IODetector state, pending state
+	header = statecodec.AppendU32(header, 0)
+	header = statecodec.AppendF64(header, 0)
+	header = statecodec.AppendBool(header, false)
+	lastPred := statecodec.AppendU32(header, 1<<26)
+	if len(lastPred) != 38 {
+		t.Fatalf("lastPred blob is %d bytes, want 38", len(lastPred))
+	}
+
+	// Scheme blobs: RNG position, then a particle filter claiming 2²⁰
+	// particles (PDR, fusion); version, tracker flags and positions,
+	// then a belief claiming 2²⁰ entries (WiFi).
+	particles := statecodec.AppendI64(nil, 2)
+	particles = statecodec.AppendU64(particles, 0)
+	particles = statecodec.AppendBool(particles, true)
+	particles = statecodec.AppendU32(particles, 1<<20)
+	belief := statecodec.AppendU64(nil, 0)
+	belief = statecodec.AppendBool(belief, true)
+	for i := 0; i < 4; i++ {
+		belief = statecodec.AppendF64(belief, 1)
+	}
+	belief = statecodec.AppendU32(belief, 1<<20)
+
+	restore := func(i int) func([]byte) error {
+		return fw.schemes[i].(schemes.StateCodec).RestoreState
+	}
+	for _, tc := range []struct {
+		name    string
+		restore func([]byte) error
+		blob    []byte
+	}{
+		{"lastPred", fw.Restore, lastPred},
+		{"wifi-belief", restore(0), belief},
+		{"pdr-particles", restore(1), particles},
+		{"fusion-particles", restore(2), particles},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			t0 := time.Now()
+			err := tc.restore(tc.blob)
+			took := time.Since(t0)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("restore accepted a count the blob cannot hold")
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("refusal allocated %d bytes for a %d-byte blob", alloc, len(tc.blob))
+			}
+			if took > 200*time.Millisecond {
+				t.Errorf("refusal took %v", took)
+			}
+		})
 	}
 }
 

@@ -49,12 +49,6 @@ type ServerConfig struct {
 	// visible to every session at the next snapshot rebuild.
 	MapStores map[byte]*mapstore.Store
 
-	// StepWorkers fans every session's per-scheme work out to a
-	// persistent worker pool of this size (core.WithParallel) so
-	// multi-core servers cut per-epoch latency. <= 1 keeps sequential
-	// scheme execution. Results are bit-identical either way.
-	StepWorkers int
-
 	// EpochTimeout bounds each session's protocol I/O: a session that
 	// takes longer than this to deliver one epoch's frames (or to
 	// accept its result) is closed, with deadline_timeouts_total
@@ -148,7 +142,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr.SetStepWorkers(cfg.StepWorkers)
 	mgr.SetTracer(cfg.Tracer)
 	mgr.SetPprofLabels(cfg.PprofLabels)
 	mgr.SetReplayCaps(cfg.ReplayEntries, cfg.ReplayBytes)

@@ -557,42 +557,3 @@ func TestServerWithoutRegistryStillServes(t *testing.T) {
 		t.Errorf("stats still work without a registry: %+v", st)
 	}
 }
-
-// TestStepWorkersParallelSessionsMatchSequential wires the parallel
-// epoch pipeline through the server: ServerConfig.StepWorkers must
-// reach every session's framework (core.WithParallel semantics), the
-// replies must match a sequential server's exactly, Stats must surface
-// the setting, and closing a session must stop its worker pool.
-func TestStepWorkersParallelSessionsMatchSequential(t *testing.T) {
-	factory, w := offloadWorld(t)
-	start, snaps := corridorWalk(w, 1.5, 77, 30)
-
-	seqSrv := newTestServer(t, ServerConfig{Factory: factory})
-	want := runWalk(t, pipeClient(t, seqSrv), start, snaps)
-
-	parSrv := newTestServer(t, ServerConfig{Factory: factory, StepWorkers: 2})
-	if st := parSrv.Stats(); st.StepWorkers != 2 {
-		t.Fatalf("Stats().StepWorkers = %d, want 2", st.StepWorkers)
-	}
-
-	// Opened sessions carry the configured worker count; Close stops
-	// the pool with the session.
-	probe, err := parSrv.mgr.Open("probe", start, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := probe.fw.StepWorkers(); got != 2 {
-		t.Fatalf("session framework StepWorkers = %d, want 2", got)
-	}
-	parSrv.mgr.Close(probe)
-
-	got := runWalk(t, pipeClient(t, parSrv), start, snaps)
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if *got[i] != *want[i] {
-			t.Fatalf("epoch %d: parallel server reply %+v != sequential %+v", i, got[i], want[i])
-		}
-	}
-}

@@ -107,10 +107,6 @@ type Stats struct {
 	AcceptErrors int64
 	Drained      int64
 
-	// StepWorkers is the per-framework scheme-execution worker count
-	// sessions are opened with (<= 1: sequential).
-	StepWorkers int
-
 	// Resume counters: sessions parked after a transport
 	// error, re-handshakes re-attached to a parked session, duplicate
 	// epochs answered from the per-seq result cache without re-stepping
@@ -153,7 +149,6 @@ type SessionManager struct {
 	factory     core.FrameworkFactory
 	maxSessions int           // 0 = unlimited
 	idleTimeout time.Duration // 0 = never evict
-	stepWorkers int           // <= 1: sequential scheme execution
 	now         func() time.Time
 
 	mu       sync.Mutex
@@ -313,14 +308,6 @@ func (m *SessionManager) releasePins(s *Session) {
 	}
 }
 
-// SetStepWorkers sets the per-framework scheme-execution worker count
-// applied to every subsequently opened session (core.WithParallel
-// semantics; <= 1 keeps sequential execution). Call before serving.
-func (m *SessionManager) SetStepWorkers(workers int) { m.stepWorkers = workers }
-
-// StepWorkers reports the configured per-framework worker count.
-func (m *SessionManager) StepWorkers() int { return m.stepWorkers }
-
 // Open admits a new session: it enforces the session limit, builds a
 // fresh framework from the factory, and resets it at the client's
 // starting position. It returns ErrServerFull at the limit.
@@ -341,11 +328,6 @@ func (m *SessionManager) Open(clientID string, start geo.Point, conn net.Conn) (
 	fw, err := m.factory()
 	if err != nil {
 		return nil, fmt.Errorf("offload: framework factory: %w", err)
-	}
-	if m.stepWorkers > 1 {
-		// Server-wide parallelism applies uniformly: every session's
-		// framework fans its schemes out to its own persistent pool.
-		fw.SetParallel(m.stepWorkers)
 	}
 	// Failure containment reports into the server's shared counters: a
 	// panicking or NaN-emitting scheme in any session shows up in
@@ -556,9 +538,6 @@ func (m *SessionManager) inject(blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("offload: framework factory: %w", err)
 	}
-	if m.stepWorkers > 1 {
-		fw.SetParallel(m.stepWorkers)
-	}
 	fw.SetHealth(m.health)
 	var pins map[byte]*sharedcompute.Entry
 	if m.shared != nil {
@@ -578,7 +557,6 @@ func (m *SessionManager) inject(blob []byte) error {
 	}
 	s.spanLabel = st.ClientID
 	if err := fw.Restore(st.FW); err != nil {
-		fw.Close()
 		m.releasePins(s)
 		return fmt.Errorf("offload: restore handoff state: %w", err)
 	}
@@ -602,7 +580,6 @@ func (m *SessionManager) inject(blob []byte) error {
 	m.mu.Lock()
 	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
 		m.mu.Unlock()
-		fw.Close()
 		m.releasePins(s)
 		return ErrServerFull
 	}
@@ -621,9 +598,8 @@ func (m *SessionManager) inject(blob []byte) error {
 	return nil
 }
 
-// Close removes a session from the live set and stops its framework's
-// worker pool, so scheme-execution goroutines never outlive their
-// session. Idempotent.
+// Close removes a session from the live set and releases its
+// shared-compute pins. Idempotent.
 func (m *SessionManager) Close(s *Session) {
 	m.mu.Lock()
 	_, live := m.sessions[s.ID]
@@ -634,7 +610,6 @@ func (m *SessionManager) Close(s *Session) {
 	active := len(m.sessions)
 	m.mu.Unlock()
 	if live {
-		s.fw.Close()
 		m.releasePins(s)
 		m.closed.Add(1)
 		m.met.sessionsClosed.Inc()
@@ -751,7 +726,6 @@ func (m *SessionManager) Stats() Stats {
 		Rejected:             m.rejected.Load(),
 		Evicted:              m.evicted.Load(),
 		EpochsServed:         m.epochs.Load(),
-		StepWorkers:          m.stepWorkers,
 		DeadlineTimeouts:     m.deadlines.Load(),
 		SchemePanics:         m.health.SchemePanics.Value(),
 		QuarantinedEstimates: m.health.Quarantined.Value(),

@@ -281,3 +281,47 @@ func TestInjectRefusesOtherProtocol(t *testing.T) {
 		t.Fatalf("Inject refused a v%d session state: %v", ProtocolVersion, err)
 	}
 }
+
+// TestInjectRefusesEmptyFrameworkState: a handoff blob whose framework
+// state is empty decodes as a session state, so Inject must refuse it
+// at Framework.Restore with an error (it used to panic, killing the
+// server), open no session, and leave the manager serving.
+func TestInjectRefusesEmptyFrameworkState(t *testing.T) {
+	var blob []byte
+	var m *SessionManager
+	exportWalk(t, 3, func(mgr *SessionManager, s *Session) {
+		b, err := mgr.ExportState(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, m = b, mgr
+	})
+	st, err := DecodeSessionState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwState := st.FW
+	st.FW = nil
+	empty := EncodeSessionState(st)
+	if _, err := DecodeSessionState(empty); err != nil {
+		t.Fatalf("empty framework state no longer decodes (%v): the test needs another way in", err)
+	}
+	live := len(m.Stats().Sessions)
+	if err := m.Inject(empty); err == nil {
+		t.Fatal("Inject accepted an empty framework state")
+	}
+	stats := m.Stats()
+	if len(stats.Sessions) != live || stats.Injected != 0 || stats.InjectFailures != 1 {
+		t.Fatalf("after the refusal: %d sessions (want %d), %d injected, %d failures",
+			len(stats.Sessions), live, stats.Injected, stats.InjectFailures)
+	}
+
+	// Still serving: the intact state injects and resumes.
+	st.FW = fwState
+	if err := m.Inject(EncodeSessionState(st)); err != nil {
+		t.Fatalf("Inject refused an intact state after the bad one: %v", err)
+	}
+	if got := m.Stats().Injected; got != 1 {
+		t.Fatalf("injected = %d, want 1", got)
+	}
+}

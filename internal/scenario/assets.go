@@ -78,8 +78,7 @@ func (a *Assets) Schemes(rnd *rand.Rand) []schemes.Scheme {
 //
 // Each randomized scheme receives its own child stream, derived from
 // rnd in canonical scheme order: handing the parent to two consumers
-// would couple their outputs to call order and forbid running them
-// concurrently (core.WithParallel).
+// would couple each one's output to how often the other draws.
 // Each stream runs over a counting prng.Source (output bit-identical
 // to the plain stdlib source it wraps), so the randomized schemes are
 // snapshotable for cross-node session migration.

@@ -2,7 +2,6 @@ package schemes
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/fingerprint"
 	"repro/internal/rf"
@@ -23,11 +22,10 @@ import (
 // its pointer, so the memo, like every per-view cache here, takes a
 // database to be immutable once schemes read it.
 //
-// The mutex keeps the memo race-free when core.WithParallel runs the
-// two schemes concurrently; then fusion may read before WiFi stores,
-// and misses. A nil *devMemo stores nothing and never hits.
+// The framework steps its schemes one after another on one goroutine,
+// WiFi before fusion, so the memo needs no lock. A nil *devMemo stores
+// nothing and never hits.
 type devMemo struct {
-	mu   sync.Mutex
 	view fingerprint.Reader // nil until the first put
 	scan rf.Vector          // copy of the keyed scan; capacity reused
 	dev  float64
@@ -48,11 +46,9 @@ func (m *devMemo) put(view fingerprint.Reader, scan rf.Vector, dev float64) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
 	m.view = view
 	m.scan = append(m.scan[:0], scan...)
 	m.dev = dev
-	m.mu.Unlock()
 }
 
 // get returns the recorded deviation when it was recorded for this
@@ -61,8 +57,6 @@ func (m *devMemo) get(view fingerprint.Reader, scan rf.Vector) (float64, bool) {
 	if m == nil {
 		return 0, false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.view != view || len(m.scan) != len(scan) {
 		return 0, false
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fingerprint"
 	"repro/internal/geo"
 	"repro/internal/mapstore"
@@ -22,18 +21,6 @@ const (
 	wifiIdx   = 1
 	fusionIdx = 4
 )
-
-// recorder keeps a scheme's last estimate, so a walk driven through a
-// core.Framework still exposes every scheme's features.
-type recorder struct {
-	schemes.Scheme
-	last schemes.Estimate
-}
-
-func (r *recorder) Estimate(snap *sensing.Snapshot) schemes.Estimate {
-	r.last = r.Scheme.Estimate(snap)
-	return r.last
-}
 
 // sameEstimate fails unless got and want agree on availability and on
 // the bits of the position and of every feature.
@@ -67,9 +54,8 @@ func sameBelief(t *testing.T, where string, got, want *schemes.Fingerprinting) {
 
 // devWalk configures one walk of the deviation-memo oracle.
 type devWalk struct {
-	store    bool // a shared mapstore, swapped mid-walk, instead of the private database
-	hetero   bool // the heterogeneous device, with a calibrator on both fingerprinting schemes
-	parallel bool // linked schemes stepped by a core.WithParallel(5) framework
+	store  bool // a shared mapstore, swapped mid-walk, instead of the private database
+	hetero bool // the heterogeneous device, with a calibrator on both fingerprinting schemes
 }
 
 // Epochs of a walk at which the oracle acts.
@@ -86,10 +72,9 @@ const (
 // features and the WiFi tracker's belief must be Float64bits-equal
 // after every epoch. The cases cover a mapstore swap between epochs
 // and one injected between WiFi's and fusion's View in one epoch, a
-// migration into fresh schemes, a private database, the heterogeneous
-// device with calibrators (WiFi's calibrated scan is not fusion's), and
-// the linked schemes run by a core.WithParallel(5) framework, where
-// fusion may read the memo before WiFi writes it (run under -race).
+// migration into fresh schemes, a private database, and the
+// heterogeneous device with calibrators (WiFi's calibrated scan is not
+// fusion's).
 func TestFusionDevMemoMatchesPrivate(t *testing.T) {
 	place := scenario.Campus()
 	assets := scenario.NewAssets(place, 3)
@@ -100,7 +85,6 @@ func TestFusionDevMemoMatchesPrivate(t *testing.T) {
 		{"store-swaps", devWalk{store: true}},
 		{"private-db", devWalk{}},
 		{"heterodev", devWalk{store: true, hetero: true}},
-		{"parallel", devWalk{store: true, parallel: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,7 +95,6 @@ func TestFusionDevMemoMatchesPrivate(t *testing.T) {
 			}
 			t.Logf("fusion deviation: %d memo hits, %d misses", hits, misses)
 			switch {
-			case tc.cfg.parallel: // hits depend on scheduling
 			case tc.cfg.hetero:
 				// Hits before the calibrator is ready, misses after.
 				if hits == 0 || misses < hits {
@@ -128,7 +111,7 @@ func TestFusionDevMemoMatchesPrivate(t *testing.T) {
 
 // run walks one path with linked and unlinked schemes side by side and
 // returns how many fusion deviations the memo served and how many it
-// did not (sequential walks only).
+// did not.
 func (c devWalk) run(t *testing.T, a *scenario.Assets, path scenario.Path, seed int64) (hits, misses int) {
 	t.Helper()
 	var wifiMap fingerprint.Map = a.WiFiDB
@@ -169,41 +152,6 @@ func (c devWalk) run(t *testing.T, a *scenario.Assets, path scenario.Path, seed 
 			}
 		}
 		store.Rebuild()
-	}
-
-	if c.parallel {
-		recL, recP := make([]*recorder, len(linked)), make([]*recorder, len(private))
-		ssL, ssP := make([]schemes.Scheme, len(linked)), make([]schemes.Scheme, len(private))
-		for i := range linked {
-			recL[i], recP[i] = &recorder{Scheme: linked[i]}, &recorder{Scheme: private[i]}
-			ssL[i], ssP[i] = recL[i], recP[i]
-		}
-		fwL, err := core.NewFramework(ssL, core.NewModelSet(), core.WithParallel(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fwL.Close()
-		fwP, err := core.NewFramework(ssP, core.NewModelSet())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fwL.Reset(start)
-		fwP.Reset(start)
-		for epoch := 0; !wk.Done(); epoch++ {
-			snap, truth := wk.Next(true)
-			if epoch == swapBetweenEpochs && len(snap.WiFi) >= 2 {
-				survey(truth, snap.WiFi)
-			}
-			resL, resP := fwL.Step(snap), fwP.Step(snap)
-			for i := range recL {
-				sameEstimate(t, path.Name+" "+linked[i].Name(), recL[i].last, recP[i].last)
-			}
-			if math.Float64bits(resL.BMA.X) != math.Float64bits(resP.BMA.X) || math.Float64bits(resL.BMA.Y) != math.Float64bits(resP.BMA.Y) {
-				t.Fatalf("%s epoch %d: BMA %v, private %v", path.Name, epoch, resL.BMA, resP.BMA)
-			}
-			sameBelief(t, path.Name, linked[wifiIdx].(*schemes.Fingerprinting), private[wifiIdx].(*schemes.Fingerprinting))
-		}
-		return 0, 0
 	}
 
 	for _, s := range append(linked[:len(linked):len(linked)], private...) {

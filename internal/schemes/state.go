@@ -70,6 +70,9 @@ func readFilter(r *statecodec.Reader, f *particle.Filter) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
+	if n > r.Remaining()/24 { // three float64s per particle
+		return fmt.Errorf("schemes: state claims %d particles in %d bytes", n, r.Remaining())
+	}
 	ps := make([]particle.Particle, n)
 	for i := range ps {
 		ps[i].Pos = geo.Pt(r.F64(), r.F64())
@@ -223,6 +226,9 @@ func (f *Fingerprinting) RestoreState(b []byte) error {
 	n := int(r.U32())
 	if r.Err() != nil {
 		return r.Err()
+	}
+	if n > r.Remaining()/8 {
+		return fmt.Errorf("schemes: state claims %d belief entries in %d bytes", n, r.Remaining())
 	}
 	belief := make([]float64, n)
 	for i := range belief {

@@ -110,8 +110,7 @@ type Coverage struct {
 
 // CriticalPath computes child coverage of the given span within its
 // tree: the union of its direct children's intervals (overlapping
-// children — e.g. schemes fanned out in parallel — are not double
-// counted).
+// children are not double counted).
 func CriticalPath(tr *Tree, span *Record) Coverage {
 	cov := Coverage{Span: span}
 	type iv struct{ a, b int64 }

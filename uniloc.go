@@ -142,12 +142,6 @@ func WithGPSGating(on bool) Option { return core.WithGPSGating(on) }
 // WithWeighting overrides the ensemble weighting mode.
 func WithWeighting(mode WeightMode) Option { return core.WithWeighting(mode) }
 
-// WithParallel fans each Step's per-scheme work out to a persistent
-// worker pool of the given size. Results are bit-identical to
-// sequential execution; <= 1 (the default) keeps the sequential path.
-// Call Framework.Close when done to stop the pool's goroutines.
-func WithParallel(workers int) Option { return core.WithParallel(workers) }
-
 // WithPruneFrac overrides the confidence-pruning threshold.
 func WithPruneFrac(frac float64) Option { return core.WithPruneFrac(frac) }
 
